@@ -6,10 +6,12 @@
 //! run) and tracked pages in a `HashMap` + per-device `BTreeMap`
 //! directory. This target exercises the scale path end to end: the
 //! workload is Table 5's mix2 as a seeded *infinite stream*
-//! ([`Mix::stream`]) fed straight into [`sibyl_serve::serve_stream`]'s
-//! bounded router queues, and each shard's compact page directory
-//! (dense entry arena + open-addressing index + intrusive LRU lists)
-//! reports its exact resident bytes.
+//! ([`Mix::stream`]) fed straight into [`sibyl_serve::serve_stream`],
+//! where each of the 4 shards walks its own clone of the stream and
+//! keeps the requests that hash to it (so the `wall` column includes
+//! every shard regenerating the whole stream), and each shard's compact
+//! page directory (dense entry arena + open-addressing index +
+//! intrusive LRU lists) reports its exact resident bytes.
 //!
 //! The sweep holds the stream's horizon — and therefore the workload's
 //! page footprint — fixed while growing the request count 1×/10×/100×

@@ -1,7 +1,7 @@
 //! Sibyl's hyper-parameters (the paper's Table 2) and design knobs.
 
 use serde::{Deserialize, Serialize};
-use sibyl_telemetry::TelemetryConfig;
+use sibyl_telemetry::{TelemetryConfig, TelemetryConfigError};
 
 use crate::features::FeatureMask;
 
@@ -219,51 +219,124 @@ impl SibylConfig {
         }
     }
 
+    /// Validates ranges, returning the first violated constraint.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SibylConfigError`] naming the first hyper-parameter
+    /// outside its documented range.
+    pub fn check(&self) -> Result<(), SibylConfigError> {
+        use SibylConfigError as E;
+        let checks = [
+            ((0.0..=1.0).contains(&self.discount), E::Discount),
+            (
+                self.learning_rate.is_finite() && self.learning_rate > 0.0,
+                E::LearningRate,
+            ),
+            ((0.0..=1.0).contains(&self.exploration), E::Exploration),
+            (
+                (0.0..=1.0).contains(&self.exploration_initial),
+                E::ExplorationInitial,
+            ),
+            (
+                self.exploration_initial >= self.exploration,
+                E::InvertedAnneal,
+            ),
+            (self.batch_size > 0, E::ZeroBatchSize),
+            (self.buffer_capacity > 0, E::ZeroBufferCapacity),
+            (self.batches_per_step > 0, E::ZeroBatchesPerStep),
+            (self.train_interval > 0, E::ZeroTrainInterval),
+            (self.n_atoms >= 2, E::TooFewAtoms),
+            (self.v_max > 0.0, E::NonPositiveVMax),
+            (self.v_min < self.v_max, E::InvertedSupport),
+            (
+                self.eviction_penalty_coeff >= 0.0,
+                E::NegativeEvictionPenalty,
+            ),
+        ];
+        if let Some(&(_, err)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(err);
+        }
+        self.telemetry.validate().map_err(E::Telemetry)
+    }
+
     /// Validates ranges.
     ///
     /// # Panics
     ///
-    /// Panics if any hyper-parameter is outside its documented range.
+    /// Panics if any hyper-parameter is outside its documented range
+    /// (see [`SibylConfig::check`] for the non-panicking form).
     pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.discount),
-            "discount must be in [0, 1]"
-        );
-        assert!(
-            self.learning_rate.is_finite() && self.learning_rate > 0.0,
-            "learning rate must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.exploration),
-            "exploration must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.exploration_initial),
-            "exploration_initial must be in [0, 1]"
-        );
-        assert!(
-            self.exploration_initial >= self.exploration,
-            "exploration_initial must be >= the final exploration rate"
-        );
-        assert!(self.batch_size > 0, "batch_size must be positive");
-        assert!(self.buffer_capacity > 0, "buffer_capacity must be positive");
-        assert!(
-            self.batches_per_step > 0,
-            "batches_per_step must be positive"
-        );
-        assert!(self.train_interval > 0, "train_interval must be positive");
-        assert!(self.n_atoms >= 2, "n_atoms must be at least 2");
-        assert!(self.v_max > 0.0, "v_max must be positive");
-        assert!(self.v_min < self.v_max, "v_min must be below v_max");
-        assert!(
-            self.eviction_penalty_coeff >= 0.0,
-            "eviction_penalty_coeff must be non-negative"
-        );
-        if let Err(e) = self.telemetry.validate() {
-            panic!("telemetry: {e}");
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }
+
+/// Why a [`SibylConfig`] was rejected by [`SibylConfig::check`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SibylConfigError {
+    /// `discount` is outside `[0, 1]`.
+    Discount,
+    /// `learning_rate` is not positive and finite.
+    LearningRate,
+    /// `exploration` is outside `[0, 1]`.
+    Exploration,
+    /// `exploration_initial` is outside `[0, 1]`.
+    ExplorationInitial,
+    /// `exploration_initial` is below the final `exploration` rate.
+    InvertedAnneal,
+    /// `batch_size == 0`.
+    ZeroBatchSize,
+    /// `buffer_capacity == 0`.
+    ZeroBufferCapacity,
+    /// `batches_per_step == 0`.
+    ZeroBatchesPerStep,
+    /// `train_interval == 0`.
+    ZeroTrainInterval,
+    /// `n_atoms < 2`.
+    TooFewAtoms,
+    /// `v_max` is not positive.
+    NonPositiveVMax,
+    /// `v_min` is not below `v_max`.
+    InvertedSupport,
+    /// `eviction_penalty_coeff` is negative.
+    NegativeEvictionPenalty,
+    /// The embedded telemetry configuration is degenerate.
+    Telemetry(TelemetryConfigError),
+}
+
+impl std::fmt::Display for SibylConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SibylConfigError::Discount => write!(f, "discount must be in [0, 1]"),
+            SibylConfigError::LearningRate => write!(f, "learning rate must be positive"),
+            SibylConfigError::Exploration => write!(f, "exploration must be in [0, 1]"),
+            SibylConfigError::ExplorationInitial => {
+                write!(f, "exploration_initial must be in [0, 1]")
+            }
+            SibylConfigError::InvertedAnneal => write!(
+                f,
+                "exploration_initial must be >= the final exploration rate"
+            ),
+            SibylConfigError::ZeroBatchSize => write!(f, "batch_size must be positive"),
+            SibylConfigError::ZeroBufferCapacity => write!(f, "buffer_capacity must be positive"),
+            SibylConfigError::ZeroBatchesPerStep => {
+                write!(f, "batches_per_step must be positive")
+            }
+            SibylConfigError::ZeroTrainInterval => write!(f, "train_interval must be positive"),
+            SibylConfigError::TooFewAtoms => write!(f, "n_atoms must be at least 2"),
+            SibylConfigError::NonPositiveVMax => write!(f, "v_max must be positive"),
+            SibylConfigError::InvertedSupport => write!(f, "v_min must be below v_max"),
+            SibylConfigError::NegativeEvictionPenalty => {
+                write!(f, "eviction_penalty_coeff must be non-negative")
+            }
+            SibylConfigError::Telemetry(e) => write!(f, "telemetry: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SibylConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -64,7 +64,9 @@ mod trainer;
 pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
 pub use c51::Categorical;
-pub use config::{AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, TrainingMode};
+pub use config::{
+    AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, SibylConfigError, TrainingMode,
+};
 pub use features::{FeatureMask, Observation, StateEncoder};
 pub use learner::Learner;
 pub use overhead::OverheadReport;

@@ -111,19 +111,15 @@ impl DecideCost {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards; requests are routed by LBA hash. Default: 4.
+    /// Worker shards; each serves the requests whose LBA region hashes
+    /// to it (see [`crate::shard_of`]). Default: 4.
     pub shards: usize,
-    /// Maximum requests drained into one batched-inference decision.
-    /// Default: 32. A shard blocks until its batch is full or the trace
-    /// is exhausted, so batch boundaries — and therefore results — are
-    /// deterministic regardless of thread scheduling.
+    /// Maximum requests taken into one batched-inference decision.
+    /// Default: 32. A shard fills each batch from its own slice of the
+    /// stream until the batch is full or the slice is exhausted, so batch
+    /// boundaries — and therefore results — are deterministic regardless
+    /// of thread scheduling.
     pub max_batch: usize,
-    /// Capacity of each shard's bounded request channel (router
-    /// backpressure). Default: 1024. Ignored under a cooperative
-    /// [`CoopConfig::mode`]: sync barriers must never backpressure the
-    /// router (a full queue behind a barrier-parked shard would deadlock
-    /// the run), so cooperative runs use unbounded queues.
-    pub queue_capacity: usize,
     /// Trace-replay time compression, as in the sim crate's
     /// `Experiment::with_time_scale`: every timestamp is divided by this
     /// factor, putting the system in the device-bound regime where
@@ -220,7 +216,6 @@ impl ServeConfig {
         ServeConfig {
             shards: 4,
             max_batch: 32,
-            queue_capacity: 1024,
             time_scale: 1.0,
             nn_ns_per_mac: 0.0,
             decide_cost: DecideCost::PerMac,
@@ -244,12 +239,6 @@ impl ServeConfig {
     /// Sets the maximum inference batch size.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the per-shard request-queue capacity.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -333,25 +322,18 @@ impl ServeConfig {
 
     /// Validates ranges, returning a descriptive [`ServeError`] for
     /// degenerate settings (0 shards, 0-deep batches, a cooperative mode
-    /// with a zero sync period, …) instead of panicking mid-run.
+    /// with a zero sync period, an out-of-range agent hyper-parameter, …)
+    /// before any shard thread starts, instead of panicking mid-run.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
-    ///
-    /// # Panics
-    ///
-    /// The embedded [`SibylConfig`] still validates by panicking
-    /// (see [`SibylConfig::validate`]).
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.shards == 0 {
             return Err(ServeError::ZeroShards);
         }
         if self.max_batch == 0 {
             return Err(ServeError::ZeroMaxBatch);
-        }
-        if self.queue_capacity == 0 {
-            return Err(ServeError::ZeroQueueCapacity);
         }
         if !(self.time_scale.is_finite() && self.time_scale > 0.0) {
             return Err(ServeError::InvalidTimeScale);
@@ -370,8 +352,7 @@ impl ServeConfig {
         {
             return Err(ServeError::CoopRequiresSynchronousTraining);
         }
-        self.sibyl.validate();
-        Ok(())
+        self.sibyl.check().map_err(ServeError::Sibyl)
     }
 }
 
@@ -402,7 +383,6 @@ mod tests {
         let cfg = ServeConfig::new(hss())
             .with_shards(8)
             .with_max_batch(4)
-            .with_queue_capacity(64)
             .with_time_scale(40.0)
             .with_nn_ns_per_mac(2.0)
             .with_curve_every(16)
@@ -424,7 +404,6 @@ mod tests {
         );
         assert_eq!(cfg.telemetry, TelemetryConfig::events());
         assert_eq!(cfg.max_batch, 4);
-        assert_eq!(cfg.queue_capacity, 64);
         assert_eq!(cfg.time_scale, 40.0);
         assert_eq!(cfg.nn_ns_per_mac, 2.0);
         assert_eq!(cfg.curve_every, 16);
@@ -448,10 +427,6 @@ mod tests {
         assert_eq!(
             ServeConfig::new(hss()).with_max_batch(0).validate(),
             Err(ServeError::ZeroMaxBatch)
-        );
-        assert_eq!(
-            ServeConfig::new(hss()).with_queue_capacity(0).validate(),
-            Err(ServeError::ZeroQueueCapacity)
         );
         assert_eq!(
             ServeConfig::new(hss()).with_time_scale(0.0).validate(),
@@ -523,6 +498,46 @@ mod tests {
             .with_telemetry(TelemetryConfig::full())
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn bad_agent_config_is_an_error_not_a_panic() {
+        // Every field SibylConfig::check rejects surfaces as a typed
+        // ServeError up front, before any shard thread could panic on it.
+        let cases: [fn(&mut SibylConfig); 14] = [
+            |c| c.discount = 1.5,
+            |c| c.learning_rate = 0.0,
+            |c| c.exploration = -0.1,
+            |c| c.exploration_initial = 2.0,
+            |c| {
+                c.exploration = 0.5;
+                c.exploration_initial = 0.1;
+            },
+            |c| c.batch_size = 0,
+            |c| c.buffer_capacity = 0,
+            |c| c.batches_per_step = 0,
+            |c| c.train_interval = 0,
+            |c| c.n_atoms = 1,
+            |c| c.v_max = 0.0,
+            |c| c.v_min = c.v_max,
+            |c| c.eviction_penalty_coeff = -1.0,
+            |c| {
+                c.telemetry = TelemetryConfig::events();
+                c.telemetry.event_capacity = 0;
+            },
+        ];
+        let mut seen = Vec::new();
+        for break_field in cases {
+            let mut sibyl = SibylConfig::default();
+            break_field(&mut sibyl);
+            let err = sibyl.check().unwrap_err();
+            assert_eq!(
+                ServeConfig::new(hss()).with_sibyl(sibyl).validate(),
+                Err(ServeError::Sibyl(err))
+            );
+            assert!(!seen.contains(&err), "{err:?} reached twice");
+            seen.push(err);
+        }
     }
 
     #[test]

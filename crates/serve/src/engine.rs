@@ -1,25 +1,19 @@
-//! The sharded serving engine: LBA-hash routing, per-shard workers,
-//! batched-inference request draining, cooperative sync rounds, and
-//! background-migration ticks.
-
-use std::sync::Arc;
-
-use crossbeam::channel::{bounded, unbounded, Receiver};
+//! The sharded serving engine: LBA-hash sharding, per-shard workers
+//! that each read their own slice of the request stream, batched
+//! inference, cooperative sync rounds, and background-migration ticks.
 
 use sibyl_coop::{CoopConfigError, Coordinator};
-use sibyl_core::{SibylAgent, TrainingMode};
+use sibyl_core::{SibylAgent, SibylConfigError, TrainingMode};
 use sibyl_hss::{AccessOutcome, StorageManager};
-use sibyl_migrate::{MigrateConfig, MigrateConfigError, Migrator};
+use sibyl_migrate::{MigrateConfigError, Migrator};
 use sibyl_telemetry::{
-    measured, Log2Histogram, ShardTelemetry, TelemetryConfig, TelemetryConfigError,
-    TelemetryReport, TelemetrySink, TraceEvent,
+    measured, Log2Histogram, ShardTelemetry, TelemetryConfigError, TelemetryReport, TelemetrySink,
+    TraceEvent,
 };
 use sibyl_trace::{IoRequest, Trace};
-use sibyl_xray::{
-    RequestObservation, ShardXray, XrayConfig, XrayConfigError, XrayReport, XrayTracer,
-};
+use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport, XrayTracer};
 
-use crate::config::{DecideCost, ServeConfig};
+use crate::config::ServeConfig;
 use crate::report::{CurvePoint, ServeReport, ShardReport};
 
 /// Errors from serving runs: an unusable trace or a degenerate
@@ -28,12 +22,10 @@ use crate::report::{CurvePoint, ServeReport, ShardReport};
 pub enum ServeError {
     /// The trace contains no requests.
     EmptyTrace,
-    /// `shards == 0`: there would be nothing to route to.
+    /// `shards == 0`: there would be no shard to serve the stream.
     ZeroShards,
     /// `max_batch == 0`: a shard could never fill a batch.
     ZeroMaxBatch,
-    /// `queue_capacity == 0`: the router could never hand off a request.
-    ZeroQueueCapacity,
     /// `time_scale` is not positive and finite.
     InvalidTimeScale,
     /// `nn_ns_per_mac` is negative or not finite.
@@ -49,17 +41,18 @@ pub enum ServeError {
     Coop(CoopConfigError),
     /// The background-migration configuration is degenerate.
     Migrate(MigrateConfigError),
-    /// A worker shard died mid-run (its thread panicked), so the trace
-    /// could not be fully served. Carries the dead shard's index. This
-    /// surfaces as an error instead of poisoning the caller with a
-    /// router-side panic.
+    /// The per-shard agent configuration is degenerate.
+    Sibyl(SibylConfigError),
+    /// A shard died mid-run (it panicked), so the trace could not be
+    /// fully served. Carries the dead shard's index. This surfaces as an
+    /// error instead of re-raising the panic in the caller.
     ShardDown {
-        /// Index of the shard whose worker died.
+        /// Index of the shard that died.
         shard: usize,
     },
     /// The OS refused to spawn a worker thread for this shard, so the
     /// engine could not be brought up. Like [`ServeError::ShardDown`],
-    /// this is surfaced as a typed error rather than a router panic.
+    /// this is surfaced as a typed error rather than a panic.
     SpawnFailed {
         /// Index of the shard whose worker could not be spawned.
         shard: usize,
@@ -78,9 +71,6 @@ impl std::fmt::Display for ServeError {
             ServeError::EmptyTrace => write!(f, "trace contains no requests"),
             ServeError::ZeroShards => write!(f, "ServeConfig: shards must be positive"),
             ServeError::ZeroMaxBatch => write!(f, "ServeConfig: max_batch must be positive"),
-            ServeError::ZeroQueueCapacity => {
-                write!(f, "ServeConfig: queue_capacity must be positive")
-            }
             ServeError::InvalidTimeScale => {
                 write!(f, "ServeConfig: time_scale must be positive and finite")
             }
@@ -100,6 +90,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Xray(e) => write!(f, "ServeConfig: {e}"),
             ServeError::Coop(e) => write!(f, "ServeConfig: {e}"),
             ServeError::Migrate(e) => write!(f, "ServeConfig: {e}"),
+            ServeError::Sibyl(e) => write!(f, "ServeConfig: sibyl: {e}"),
             ServeError::ShardDown { shard } => {
                 write!(f, "worker shard {shard} died before the trace was served")
             }
@@ -161,11 +152,6 @@ pub fn shard_of(lpn: u64, shards: usize) -> usize {
 ///
 /// Returns [`ServeError::EmptyTrace`] for an empty trace, or whatever
 /// [`serve_stream`] returns.
-///
-/// # Panics
-///
-/// Panics if the embedded [`SibylConfig`](sibyl_core::SibylConfig) is
-/// invalid.
 pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, ServeError> {
     serve_stream(config, trace.iter().copied())
 }
@@ -174,32 +160,31 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// per-shard reports — without ever materializing the workload.
 ///
 /// This is the engine's real entry point ([`serve_trace`] delegates
-/// here). The stream is consumed twice: a *footprint pre-pass* over a
-/// clone computes each shard's unique-page count (so fraction-mode
-/// capacities resolve against exactly the data that shard will hold,
-/// identically to the materialized path), then the *routing pass* feeds
-/// requests one at a time into the shard queues. Peak router memory is
-/// therefore bounded by the workload's footprint (the pre-pass page
-/// sets) plus the bounded queues — never by the trace length — which is
-/// what makes 10M-request runs practical: a seeded generator stream
-/// costs O(footprint) memory where a materialized `Trace` costs 24 bytes
-/// per request.
+/// here). A *footprint pre-pass* over one clone of the stream, on the
+/// caller thread, computes each shard's unique-page count (so
+/// fraction-mode capacities resolve against exactly the data that shard
+/// will hold, identically to the materialized path). Then every shard
+/// walks a clone of its own — shard 0 on the caller thread, the others
+/// on scoped worker threads: it keeps the requests [`shard_of`] assigns
+/// to it, in stream order, and compresses their timestamps by
+/// [`ServeConfig::time_scale`]. No request is ever queued between
+/// threads, so peak memory is bounded by the workload's footprint (the
+/// pre-pass page sets) — never by the trace length — in every
+/// cooperation mode. That is what makes 10M-request runs practical: a
+/// seeded generator stream costs O(footprint) memory where a
+/// materialized `Trace` costs 24 bytes per request. The price is that
+/// each of the `N` shards regenerates the whole stream.
 ///
 /// The stream must be **finite** (bound an infinite generator with
 /// `.take(n)`) and `Clone` must replay the identical sequence — true for
 /// every seeded [`sibyl_trace::stream::RequestStream`] and for slice
 /// iterators.
 ///
-/// The caller thread acts as the router: it walks the stream in
-/// timestamp order, compresses timestamps by [`ServeConfig::time_scale`],
-/// and sends each request over a channel to the shard selected by
-/// [`shard_of`].
 /// Each worker shard owns a private [`StorageManager`] + [`SibylAgent`]
-/// pair and repeatedly blocks until it has accumulated
-/// [`ServeConfig::max_batch`] requests (or the trace is exhausted),
-/// decides the whole batch with one [`SibylAgent::place_batch`] call —
-/// batched C51 inference — then serves the batch and feeds the outcomes
-/// back.
+/// pair and repeatedly takes the next [`ServeConfig::max_batch`]
+/// requests of its slice (fewer only at the end), decides the whole
+/// batch with one [`SibylAgent::place_batch`] call — batched C51
+/// inference — then serves the batch and feeds the outcomes back.
 ///
 /// Under a cooperative [`CoopConfig`](sibyl_coop::CoopConfig) mode, every
 /// shard additionally arrives at a [`Coordinator`] sync round after each
@@ -207,12 +192,9 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// tap's selections and absorb every other shard's, weight-averaging
 /// modes contribute training-net parameters and adopt the federated
 /// mean. Sync rounds sit at logical (batch-count) boundaries, and a
-/// shard whose subsequence is exhausted leaves the coordinator, so the
+/// shard whose slice is exhausted leaves the coordinator, so the
 /// contributor set of every round — hence every result — is independent
-/// of thread scheduling. Cooperative runs use *unbounded* shard queues:
-/// a sync barrier must never backpressure the router (a full queue
-/// behind a barrier-parked shard would deadlock the run); independent
-/// runs keep the bounded-queue backpressure exactly as before.
+/// of thread scheduling.
 ///
 /// When [`ServeConfig::migrate`] runs an active policy, every shard
 /// additionally ticks a private [`Migrator`] after each
@@ -236,12 +218,11 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// billed only under synchronous training; a background trainer runs
 /// concurrently off the decision path and is not charged.
 ///
-/// Because shards fill batches by blocking on their queue rather than
-/// draining opportunistically, batch boundaries are fixed chunks of each
-/// shard's request subsequence. With the default
-/// [`TrainingMode::Synchronous`](sibyl_core::TrainingMode), results are
-/// therefore bit-identical across runs for a given config and trace,
-/// regardless of thread scheduling — in every cooperation mode.
+/// Because batch boundaries are fixed chunks of each shard's request
+/// subsequence, with the default
+/// [`TrainingMode::Synchronous`](sibyl_core::TrainingMode) results are
+/// bit-identical across runs for a given config and trace, regardless
+/// of thread scheduling — in every cooperation mode.
 /// [`TrainingMode::Background`](sibyl_core::TrainingMode) keeps the
 /// trainer off the decision path instead: weight adoption then depends
 /// on trainer-thread timing, so run-to-run metric drift is expected, not
@@ -251,24 +232,19 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 ///
 /// Returns [`ServeError::EmptyTrace`] for a stream that yields no
 /// requests, the configuration's first violated constraint (see
-/// [`ServeConfig::validate`]), or [`ServeError::SpawnFailed`] when the
-/// OS refuses a worker thread.
-///
-/// # Panics
-///
-/// Panics if the embedded [`SibylConfig`](sibyl_core::SibylConfig) is
-/// invalid.
+/// [`ServeConfig::validate`]), [`ServeError::SpawnFailed`] when the OS
+/// refuses a worker thread, or [`ServeError::ShardDown`] when a worker
+/// panics.
 pub fn serve_stream<S>(config: &ServeConfig, stream: S) -> Result<ServeReport, ServeError>
 where
-    S: Iterator<Item = IoRequest> + Clone,
+    S: Iterator<Item = IoRequest> + Clone + Send,
 {
     config.validate()?;
 
     // Footprint pre-pass over a clone of the stream, so fraction-mode
     // capacities resolve against the data each shard will actually hold
     // — the same per-shard footprints the materialized path computes.
-    // Sets keep this O(unique pages), not O(total request pages): the
-    // one regeneration pass buys footprint-bounded memory for the run.
+    // Sets keep this O(unique pages), not O(total request pages).
     let mut shard_pages: Vec<std::collections::HashSet<u64>> =
         vec![std::collections::HashSet::new(); config.shards];
     let mut total_requests = 0u64;
@@ -288,99 +264,82 @@ where
         .mode
         .is_cooperative()
         .then(|| Coordinator::new(config.coop, config.shards));
+    // Every member's guard exists before the first spawn, so each shard
+    // leaves the coordinator exactly once — when its closure finishes or
+    // unwinds, or, if its thread never starts, when the guard drops
+    // unused — and no peer can park at a barrier waiting on it forever.
+    let leave_guards: Vec<Option<LeaveGuard<'_>>> = (0..config.shards)
+        .map(|member| {
+            coordinator
+                .as_deref()
+                .map(|coord| LeaveGuard { coord, member })
+        })
+        .collect();
 
-    let mut senders = Vec::with_capacity(config.shards);
-    let mut workers = Vec::with_capacity(config.shards);
-    for (shard, &footprint) in footprints.iter().enumerate() {
-        let (tx, rx) = if coordinator.is_some() {
-            unbounded::<IoRequest>()
-        } else {
-            bounded::<IoRequest>(config.queue_capacity)
-        };
-        senders.push(tx);
-        let resolved = config.hss.resolved(footprint.max(1));
-        let mut sibyl = config.sibyl.clone();
-        sibyl.seed = config.shard_seed(shard);
-        sibyl.quant_mode = config.quant;
-        sibyl.telemetry = config.telemetry;
-        let mut migrate = config.migrate.clone();
-        migrate.seed = config.migrate_seed(shard);
-        let task = ShardTask {
-            shard,
-            rx,
-            resolved,
-            sibyl,
-            max_batch: config.max_batch,
-            nn_ns_per_mac: config.nn_ns_per_mac,
-            decide_cost: config.decide_cost,
-            curve_every: config.curve_every,
-            coop: coordinator.clone(),
-            migrate,
-            telemetry: config.telemetry,
-            xray: config.xray,
-            // The *base* seed, not the shard-perturbed one: a request's
-            // sampling decision must depend only on (seed, lba, seq), so
-            // re-sharding a run keeps comparable sampled sets.
-            xray_seed: config.sibyl.seed,
-        };
-        let spawned = std::thread::Builder::new()
-            .name(format!("sibyl-shard-{shard}"))
-            .spawn(move || run_shard(task));
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(_) => {
-                // Unblock the shards already spawned — with their senders
-                // gone they drain an empty queue, leave any coordinator,
-                // and exit — then surface a typed error instead of
-                // panicking the router.
-                drop(senders);
-                for worker in workers {
-                    let _ = worker.join();
+    let (shards, time_scale) = (config.shards, config.time_scale);
+    let slice = |shard: usize| {
+        stream
+            .clone()
+            .filter(move |req| shard_of(req.lpn, shards) == shard)
+            .map(move |mut req| {
+                if time_scale != 1.0 {
+                    req.timestamp_us = (req.timestamp_us as f64 / time_scale) as u64;
                 }
-                return Err(ServeError::SpawnFailed { shard });
+                req
+            })
+    };
+    let coop = coordinator.as_deref();
+    let joined = std::thread::scope(|scope| {
+        // Owned by this closure, so an early return or unwind drops the
+        // guards of unstarted shards before the scope joins the others.
+        let mut leave_guards = leave_guards.into_iter();
+        let first_guard = leave_guards.next().flatten();
+        let mut workers = Vec::with_capacity(shards - 1);
+        for (shard, &footprint) in footprints.iter().enumerate().skip(1) {
+            let leave_guard = leave_guards.next().flatten();
+            let requests = slice(shard);
+            let spawned = std::thread::Builder::new()
+                .name(format!("sibyl-shard-{shard}"))
+                .spawn_scoped(scope, move || {
+                    let _leave_guard = leave_guard;
+                    run_shard(config, shard, footprint, coop, requests)
+                });
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(_) => {
+                    // The failed closure dropped its guard; release the
+                    // members not yet started too, so the running shards
+                    // finish their slices instead of waiting on them.
+                    drop((first_guard, leave_guards));
+                    for worker in workers {
+                        let _ = worker.join();
+                    }
+                    return Err(ServeError::SpawnFailed { shard });
+                }
             }
         }
-    }
+        // Shard 0 runs on the caller thread, which would otherwise idle
+        // in `join`; catching its panic mirrors what `join` reports.
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _leave_guard = first_guard;
+            run_shard(config, 0, footprints[0], coop, slice(0))
+        }));
+        Ok(std::iter::once(first)
+            .chain(workers.into_iter().map(|worker| worker.join()))
+            .collect::<Vec<_>>())
+    })?;
 
-    // Route. Bounded channels (independent runs) give backpressure: the
-    // router stalls when a shard's queue is full instead of buffering the
-    // whole stream. A send can only fail when the receiving worker died
-    // (dropped its receiver by panicking); stop routing and surface that
-    // as an error rather than panicking the router.
-    let mut dead_shard: Option<usize> = None;
-    for req in stream {
-        let mut routed = req;
-        if config.time_scale != 1.0 {
-            routed.timestamp_us = (req.timestamp_us as f64 / config.time_scale) as u64;
-        }
-        let s = shard_of(routed.lpn, config.shards);
-        if senders[s].send(routed).is_err() {
-            dead_shard = Some(s);
-            break;
-        }
-    }
-    drop(senders); // end-of-stream (or abort): workers drain and exit
-
-    let mut shards: Vec<ShardReport> = Vec::with_capacity(workers.len());
+    let mut shards: Vec<ShardReport> = Vec::with_capacity(joined.len());
     let mut shard_telemetry: Vec<ShardTelemetry> = Vec::new();
     let mut shard_xrays: Vec<ShardXray> = Vec::new();
-    for (shard, handle) in workers.into_iter().enumerate() {
-        match handle.join() {
-            Ok((report, telemetry, xray)) => {
-                shards.push(report);
-                shard_telemetry.extend(telemetry);
-                shard_xrays.extend(xray);
-            }
-            // Prefer the panicking shard's index over the shard whose
-            // queue the router noticed first — they can differ when one
-            // shard's death aborts routing to the others.
-            Err(_) => dead_shard = Some(shard),
-        }
+    for (shard, result) in joined.into_iter().enumerate() {
+        let Ok((report, telemetry, xray)) = result else {
+            return Err(ServeError::ShardDown { shard });
+        };
+        shards.push(report);
+        shard_telemetry.extend(telemetry);
+        shard_xrays.extend(xray);
     }
-    if let Some(shard) = dead_shard {
-        return Err(ServeError::ShardDown { shard });
-    }
-    shards.sort_by_key(|s| s.shard);
     let telemetry = config
         .telemetry
         .enabled()
@@ -393,58 +352,54 @@ where
     })
 }
 
-/// Everything one worker shard needs, moved onto its thread.
-struct ShardTask {
-    shard: usize,
-    rx: Receiver<IoRequest>,
-    resolved: sibyl_hss::HssConfig,
-    sibyl: sibyl_core::SibylConfig,
-    max_batch: usize,
-    nn_ns_per_mac: f64,
-    decide_cost: DecideCost,
-    curve_every: u64,
-    coop: Option<Arc<Coordinator>>,
-    migrate: MigrateConfig,
-    telemetry: TelemetryConfig,
-    xray: XrayConfig,
-    xray_seed: u64,
-}
-
-/// Deregisters a shard from the coordinator when its thread exits — on
-/// the normal path *and* on unwind. Without this, a panicking shard
-/// would leave `members` overcounted and every peer parked at the sync
-/// barrier forever, turning a loud `join` panic into a silent hang.
-struct LeaveGuard {
-    coord: Arc<Coordinator>,
+/// Deregisters a shard from the coordinator when dropped — after the
+/// shard's run returns, while it unwinds, or unused when its thread
+/// never started. Without this, a missing shard would leave `members`
+/// overcounted and every peer parked at the sync barrier forever,
+/// turning a loud failure into a silent hang.
+struct LeaveGuard<'a> {
+    coord: &'a Coordinator,
     member: usize,
 }
 
-impl Drop for LeaveGuard {
+impl Drop for LeaveGuard<'_> {
     fn drop(&mut self) {
         self.coord.leave(self.member);
     }
 }
 
-/// One worker shard's lifetime: fill a batch (blocking), decide it with
-/// batched inference, serve it (charging amortized NN time when
-/// configured), feed rewards back, and arrive at cooperative sync rounds
-/// on its logical batch boundaries; repeat until the router hangs up,
-/// then leave the coordinator (via a drop guard, so a panicking shard
-/// releases its peers instead of wedging the barrier).
-fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<ShardXray>) {
-    let mut manager = StorageManager::new(&task.resolved);
-    let mut agent = SibylAgent::new(task.sibyl);
+/// One worker shard's lifetime: take the next batch of its requests,
+/// decide it with batched inference, serve it (charging amortized NN
+/// time when configured), feed rewards back, and arrive at cooperative
+/// sync rounds on its logical batch boundaries; repeat until its
+/// `slice` of the stream runs dry.
+fn run_shard(
+    config: &ServeConfig,
+    shard: usize,
+    footprint: u64,
+    coop: Option<&Coordinator>,
+    mut slice: impl Iterator<Item = IoRequest>,
+) -> (ShardReport, Option<ShardTelemetry>, Option<ShardXray>) {
+    let mut manager = StorageManager::new(&config.hss.resolved(footprint.max(1)));
+    let mut sibyl = config.sibyl.clone();
+    sibyl.seed = config.shard_seed(shard);
+    sibyl.quant_mode = config.quant;
+    sibyl.telemetry = config.telemetry;
+    let mut agent = SibylAgent::new(sibyl);
     // `XrayConfig::Off` builds no tracer — same discipline as the sink
     // and the migrator: a disabled engine holds no xray branch that ever
     // fires, pinning it bit-identical to one without the subsystem.
-    let mut xray = XrayTracer::new(&task.xray, task.shard, task.xray_seed);
+    // Sampling keys on the *base* seed, not the shard-perturbed one: a
+    // request's sampling decision must depend only on (seed, lba, seq),
+    // so re-sharding a run keeps comparable sampled sets.
+    let mut xray = XrayTracer::new(&config.xray, shard, config.sibyl.seed);
     // `TelemetryConfig::off()` builds no sink: every telemetry branch
     // below is an `if let Some(..)` that never fires, keeping the
     // disabled engine bit-identical to one without the subsystem. The
     // stopwatch is the one wall-clock read, and its total can only land
     // in the `measured.*` namespace — excluded from report equality and
     // the deterministic export.
-    let mut sink = TelemetrySink::new(&task.telemetry);
+    let mut sink = TelemetrySink::new(&config.telemetry);
     let stopwatch = sink.as_ref().map(|_| measured::Stopwatch::start());
     // Per-request latency samples accumulate into a shard-local histogram
     // and merge into the registry once at teardown: a name lookup per
@@ -455,11 +410,7 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
         Some(s) if s.histograms() => Some(Log2Histogram::new()),
         _ => None,
     };
-    let _leave_guard = task.coop.as_ref().map(|coord| LeaveGuard {
-        coord: Arc::clone(coord),
-        member: task.shard,
-    });
-    if let Some(coord) = &task.coop {
+    if let Some(coord) = coop {
         if coord.config().mode.shares_experiences() {
             agent.set_experience_tap(coord.config().share_fraction);
             agent.set_foreign_weight(coord.config().foreign_weight);
@@ -468,9 +419,11 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
     // `MigratePolicyKind::None` builds no migrator: the loop below then
     // contains no migration branch at all, keeping the baseline
     // bit-identical to the engine before the subsystem existed.
-    let mut migrator = Migrator::new(task.migrate);
-    let mut batch: Vec<IoRequest> = Vec::with_capacity(task.max_batch);
-    let mut outcomes: Vec<AccessOutcome> = Vec::with_capacity(task.max_batch);
+    let mut migrate = config.migrate.clone();
+    migrate.seed = config.migrate_seed(shard);
+    let mut migrator = Migrator::new(migrate);
+    let mut batch: Vec<IoRequest> = Vec::with_capacity(config.max_batch);
+    let mut outcomes: Vec<AccessOutcome> = Vec::with_capacity(config.max_batch);
     let mut batches = 0u64;
     let mut requests = 0u64;
     let mut coop_syncs = 0u64;
@@ -488,21 +441,11 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
     // when the §10 cost model is billing.
     let mut event_train_steps = 0u64;
     let mut curve: Vec<CurvePoint> = Vec::new();
-    let mut disconnected = false;
-    while !disconnected {
+    loop {
         batch.clear();
-        match task.rx.recv() {
-            Ok(req) => batch.push(req),
-            Err(_) => break,
-        }
-        while batch.len() < task.max_batch {
-            match task.rx.recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => {
-                    disconnected = true;
-                    break;
-                }
-            }
+        batch.extend(slice.by_ref().take(config.max_batch));
+        if batch.is_empty() {
+            break;
         }
         let targets = agent.place_batch(&batch, &manager);
         // §10 overhead model: one forward pass per batch — the batched
@@ -512,8 +455,9 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
         // default `DecideCost::PerMac` keeps the analytic MAC bill;
         // `DecideCost::TwoTerm` replays the measured setup + per-row fit.
         let batch_decide_us =
-            task.decide_cost
-                .batch_us(agent.inference_macs(), task.nn_ns_per_mac, batch.len());
+            config
+                .decide_cost
+                .batch_us(agent.inference_macs(), config.nn_ns_per_mac, batch.len());
         let per_req_nn_us = batch_decide_us / batch.len() as f64;
         let per_req_delay_us = per_req_nn_us + pending_train_us / batch.len() as f64;
         pending_train_us = 0.0;
@@ -600,14 +544,16 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
         // trainer is concurrent by design (and its weight-adoption
         // timing is thread-schedule dependent), so charging it to
         // request latency would be both wrong and nondeterministic.
-        if task.nn_ns_per_mac > 0.0 && agent.config().training_mode == TrainingMode::Synchronous {
+        if config.nn_ns_per_mac > 0.0 && agent.config().training_mode == TrainingMode::Synchronous {
             let new_steps = agent.stats().train_steps - charged_train_steps;
             if new_steps > 0 {
                 // The batched train step streams each weight matrix once
                 // forward and once backward per replay batch — two passes
                 // at the same ns/MAC rate batched inference is billed.
                 let step_us = agent.inference_macs().map_or(0.0, |macs| {
-                    2.0 * agent.config().batches_per_step as f64 * macs as f64 * task.nn_ns_per_mac
+                    2.0 * agent.config().batches_per_step as f64
+                        * macs as f64
+                        * config.nn_ns_per_mac
                         / 1_000.0
                 });
                 let billed = new_steps as f64 * step_us;
@@ -656,7 +602,7 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
                 }
             }
         }
-        if task.curve_every > 0 && batches.is_multiple_of(task.curve_every) {
+        if config.curve_every > 0 && batches.is_multiple_of(config.curve_every) {
             let point = CurvePoint::from_stats(manager.stats());
             if let Some(sink) = &mut sink {
                 // The learning curve doubles as a registry time series —
@@ -685,7 +631,7 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
             }
             curve.push(point);
         }
-        if let Some(coord) = &task.coop {
+        if let Some(coord) = coop {
             if batches.is_multiple_of(coord.config().sync_period) {
                 let weights = if coord.config().mode.averages_weights() {
                     agent.export_weights()
@@ -697,7 +643,7 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
                 } else {
                     Vec::new()
                 };
-                let outcome = coord.sync(task.shard, weights, published);
+                let outcome = coord.sync(shard, weights, published);
                 if let Some(avg) = &outcome.weights {
                     agent.import_weights(avg);
                 }
@@ -748,16 +694,16 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
         if let Some(m) = &migrator {
             m.stats().record_registry(sink.registry_mut());
         }
-        if let Some(coord) = &task.coop {
+        if let Some(coord) = coop {
             coord.config().record_registry(sink.registry_mut());
         }
         if let Some(stopwatch) = stopwatch {
             stopwatch.stop_into(sink.registry_mut(), "measured.shard_run_ns");
         }
-        sink.finish(task.shard)
+        sink.finish(shard)
     });
     let report = ShardReport {
-        shard: task.shard,
+        shard,
         requests,
         batches,
         directory_bytes: manager.directory().directory_bytes() as u64,
@@ -777,11 +723,14 @@ fn run_shard(task: ShardTask) -> (ShardReport, Option<ShardTelemetry>, Option<Sh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DecideCost;
     use sibyl_coop::{CoopConfig, CoopMode};
     use sibyl_core::SibylConfig;
     use sibyl_hss::{DeviceSpec, HssConfig};
-    use sibyl_migrate::MigratePolicyKind;
-    use sibyl_trace::{mix, msrc};
+    use sibyl_migrate::{MigrateConfig, MigratePolicyKind};
+    use sibyl_telemetry::TelemetryConfig;
+    use sibyl_trace::{mix, msrc, IoOp};
+    use sibyl_xray::XrayConfig;
 
     fn fast_sibyl() -> SibylConfig {
         SibylConfig {
@@ -904,8 +853,8 @@ mod tests {
         // Satellite of the scale work: feeding the engine from the seeded
         // generator stream must reproduce the materialized golden Mix2
         // run exactly — same shard reports, same placement decisions —
-        // because the stream's prefix is bit-identical to the Vec and the
-        // router is the same loop either way.
+        // because the stream's prefix is bit-identical to the Vec and each
+        // shard reads its slice the same way either way.
         let n = 600;
         let trace = mix::Mix::Mix2.generate(n, 7);
         let cfg = config(4, 8);
@@ -1017,9 +966,9 @@ mod tests {
     #[test]
     fn independent_mode_is_bit_identical_to_baseline_engine() {
         // CoopMode::Independent must take the exact PR-2 code path: no
-        // coordinator, bounded queues, no tap — so its report matches a
-        // config that never mentions cooperation, bit for bit, even with
-        // the other coop knobs set to exotic values.
+        // coordinator, no tap — so its report matches a config that never
+        // mentions cooperation, bit for bit, even with the other coop
+        // knobs set to exotic values.
         let trace = mixed_trace(1_000);
         let baseline = serve_trace(&config(4, 16), &trace).unwrap();
         let explicit = config(4, 16).with_coop(
@@ -1037,16 +986,37 @@ mod tests {
     }
 
     #[test]
-    fn cooperation_survives_tiny_queues_without_deadlock() {
-        // A barrier-parked shard must not wedge the router: cooperative
-        // runs switch to unbounded queues, so even a 1-slot capacity and
-        // a short sync period finish.
-        let trace = mixed_trace(600);
-        let cfg = config(4, 8)
-            .with_queue_capacity(1)
-            .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(1));
-        let report = serve_trace(&cfg, &trace).unwrap();
-        assert_eq!(report.total_requests(), trace.len() as u64);
+    fn idle_shards_leave_cooperative_runs_cleanly() {
+        // Every request sits in one 64-page region, so one shard serves
+        // the whole trace and the other three see an empty slice. They
+        // must leave the coordinator without a batch or a sync round, and
+        // the busy shard's barriers must not wait on them.
+        let requests: Vec<IoRequest> = (0..600u64)
+            .map(|i| {
+                let op = if i % 3 == 0 { IoOp::Write } else { IoOp::Read };
+                IoRequest::new(i * 50, (i * 7) % (1u64 << REGION_BITS), 1, op)
+            })
+            .collect();
+        let trace = Trace::from_requests("one-region", requests);
+        let busy = shard_of(0, 4);
+        for mode in [
+            CoopMode::SharedReplay,
+            CoopMode::WeightAverage,
+            CoopMode::Both,
+        ] {
+            let cfg = config(4, 8).with_coop(CoopConfig::new(mode).with_sync_period(2));
+            let report = serve_trace(&cfg, &trace).unwrap();
+            assert_eq!(report.total_requests(), trace.len() as u64, "{mode}");
+            for s in &report.shards {
+                if s.shard == busy {
+                    assert_eq!(s.requests, trace.len() as u64, "{mode}");
+                    assert!(s.coop_syncs > 0, "{mode}: busy shard never synced");
+                } else {
+                    assert_eq!(s.batches, 0, "{mode}: idle shard {} batched", s.shard);
+                    assert_eq!(s.coop_syncs, 0, "{mode}: idle shard {} synced", s.shard);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1120,23 +1090,28 @@ mod tests {
     #[test]
     fn dead_shard_surfaces_as_shard_down_error() {
         // A capacity-limited slowest device makes StorageManager::new
-        // panic inside every worker thread; the router must fold that
-        // into ServeError::ShardDown instead of panicking on send/join.
+        // panic inside every worker thread; the engine must fold that
+        // into ServeError::ShardDown instead of re-raising the panic —
+        // and, under cooperation, the dead shards must still leave the
+        // coordinator so nothing hangs at a barrier.
         let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd())
             .with_capacity_pages(vec![10, 10]);
-        let cfg = ServeConfig::new(hss)
-            .with_shards(2)
-            .with_max_batch(8)
-            .with_sibyl(fast_sibyl());
         let trace = mixed_trace(200);
-        match serve_trace(&cfg, &trace) {
-            Err(ServeError::ShardDown { shard }) => {
-                assert!(shard < 2);
-                assert!(ServeError::ShardDown { shard }
-                    .to_string()
-                    .contains(&format!("shard {shard}")));
+        for mode in [CoopMode::Independent, CoopMode::Both] {
+            let cfg = ServeConfig::new(hss.clone())
+                .with_shards(2)
+                .with_max_batch(8)
+                .with_sibyl(fast_sibyl())
+                .with_coop(CoopConfig::new(mode).with_sync_period(1));
+            match serve_trace(&cfg, &trace) {
+                Err(ServeError::ShardDown { shard }) => {
+                    assert!(shard < 2);
+                    assert!(ServeError::ShardDown { shard }
+                        .to_string()
+                        .contains(&format!("shard {shard}")));
+                }
+                other => panic!("{mode}: expected ShardDown, got {other:?}"),
             }
-            other => panic!("expected ShardDown, got {other:?}"),
         }
     }
 

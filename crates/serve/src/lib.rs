@@ -4,15 +4,15 @@
 //! step from *one agent on one thread* toward the production-scale
 //! serving layer the ROADMAP targets.
 //!
-//! The engine spawns `N` worker shards. Each shard owns a private
+//! The engine runs `N` shards. Each shard owns a private
 //! [`sibyl_hss::StorageManager`] and [`sibyl_core::SibylAgent`] —
 //! modeling a scale-out deployment of independent hybrid-storage nodes —
-//! and requests are routed to shards by a hash of their starting LBA's
-//! 64-page region over bounded `crossbeam` channels ([`shard_of`];
-//! requests straddling a region boundary follow their start region, see
-//! there for the modeling consequence). Each shard drains
-//! its queue in batches of up to [`ServeConfig::max_batch`] requests and
-//! decides the whole batch with **one batched C51 inference pass**
+//! and serves the requests whose starting LBA's 64-page region hashes to
+//! it ([`shard_of`]; requests straddling a region boundary follow their
+//! start region, see there for the modeling consequence). Each shard
+//! walks its own clone of the request stream, keeps its slice, and takes
+//! it in batches of up to [`ServeConfig::max_batch`] requests; it
+//! decides each batch with **one batched C51 inference pass**
 //! (`Mlp::infer_batch`): one matrix-matrix product per layer instead
 //! of a matrix-vector product per request, bit-identical to per-request
 //! inference.
@@ -35,9 +35,9 @@
 //!
 //! Determinism survives sharding — in the default
 //! `TrainingMode::Synchronous`: batch boundaries are fixed chunks of
-//! each shard's request subsequence (shards block until a batch fills or
-//! the trace ends), and every shard's RNG is seeded from the base seed
-//! and the shard index — so a seeded synchronous run reproduces
+//! each shard's request subsequence (a batch ends only when it is full
+//! or the slice runs out), and every shard's RNG is seeded from the base
+//! seed and the shard index — so a seeded synchronous run reproduces
 //! identical per-shard and aggregate metrics regardless of thread
 //! scheduling, in every cooperation mode. `TrainingMode::Background`
 //! trades that reproducibility for an off-critical-path trainer per
@@ -88,7 +88,7 @@ pub use report::{Aggregate, CurvePoint, ServeReport, ShardReport};
 // direct `sibyl-coop`/`sibyl-migrate`/`sibyl-core`/`sibyl-telemetry`/
 // `sibyl-xray` dependencies.
 pub use sibyl_coop::{CoopConfig, CoopConfigError, CoopMode};
-pub use sibyl_core::QuantMode;
+pub use sibyl_core::{QuantMode, SibylConfigError};
 pub use sibyl_migrate::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
 pub use sibyl_telemetry::{
     ShardTelemetry, TelemetryConfig, TelemetryConfigError, TelemetryLevel, TelemetryReport,

@@ -81,7 +81,7 @@ impl ServeOutcome {
 ///
 /// This is the scale-out counterpart of [`crate::Experiment`]: instead of
 /// replaying the trace through a single policy/manager pair, the trace is
-/// routed by LBA hash across `N` worker shards, each deciding placements
+/// partitioned by LBA hash across `N` shards, each deciding placements
 /// with batched C51 inference.
 ///
 /// # Examples
@@ -146,7 +146,7 @@ impl ServeExperiment {
     /// Returns [`SimError::EmptyTrace`] for a stream yielding no requests.
     pub fn run_stream<S>(config: &ServeConfig, stream: S) -> Result<ServeOutcome, SimError>
     where
-        S: Iterator<Item = IoRequest> + Clone,
+        S: Iterator<Item = IoRequest> + Clone + Send,
     {
         let report = serve_stream(config, stream).map_err(SimError::from)?;
         Ok(ServeOutcome::from_report(report))
