@@ -19,7 +19,7 @@ use sibyl_bench::{banner, hm_config, seed, skewed_coop_trace, trace_len, BenchJs
 use sibyl_core::SibylConfig;
 use sibyl_serve::{CoopConfig, CoopMode, ServeConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::CoopExperiment;
+use sibyl_sim::{ServeExperiment, ServeOutcome, ServeSweep};
 
 fn base_config(shards: usize) -> ServeConfig {
     // Shorter train interval than the paper's 1000 so every shard still
@@ -61,10 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // baseline and weight-1.0 row (the default weight *is* 1.0), saving
     // two full serve runs.
     let mut json = BenchJson::new("sec12_coop", n, seed());
-    let mut four_shard: Option<sibyl_sim::CoopReport> = None;
+    let mut four_shard: Option<ServeSweep<CoopMode>> = None;
     for shards in [1usize, 2, 4, 8] {
-        let exp = CoopExperiment::new(base_config(shards), trace.clone());
-        let report = exp.run_all()?;
+        let exp = ServeExperiment::new(base_config(shards), trace.clone());
+        let report = exp.sweep(&CoopMode::ALL, |c, mode| c.coop = c.coop.with_mode(mode))?;
         if shards == 4 {
             four_shard = Some(report.clone());
         }
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(String::from)
             .to_vec(),
         );
-        for outcome in &report.outcomes {
+        for (mode, outcome) in &report.runs {
             let syncs: u64 = outcome.report.shards.iter().map(|s| s.coop_syncs).sum();
             let shared: u64 = outcome
                 .report
@@ -90,11 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|s| s.agent.shared_absorbed)
                 .sum();
             table.add_row(vec![
-                outcome.mode.to_string(),
+                mode.to_string(),
                 format!("{:.1}", outcome.aggregate.avg_latency_us),
-                format!("{:.3}", report.normalized_latency(outcome.mode)),
+                format!("{:.3}", report.normalized_latency(*mode)),
                 format!("{:.3}", outcome.aggregate.fast_placement_fraction),
-                format!("{:+.3}", report.hit_rate_gain(outcome.mode)),
+                format!("{:+.3}", report.hit_rate_gain(*mode)),
                 syncs.to_string(),
                 shared.to_string(),
             ]);
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{shards} shard(s)");
         println!("{}", table.render());
         json.table(&format!("shards{shards}"), &table);
-        let best = report.best_cooperative_mode();
+        let best = report.best().expect("the sweep ran every mode");
         println!(
             "best cooperative mode: {best} (norm lat {:.3}, hit gain {:+.3})\n",
             report.normalized_latency(best),
@@ -116,8 +116,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if shards == 8 {
             let indep = report
                 .outcome(CoopMode::Independent)
-                .expect("run_all covers every mode");
-            let coop = report.outcome(best).expect("run_all covers every mode");
+                .expect("the sweep ran every mode");
+            let coop = report.outcome(best).expect("the sweep ran every mode");
             let mut curve = Table::new(
                 [
                     "requests",
@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(String::from)
                 .to_vec(),
             );
-            for (a, b) in indep.curve.iter().zip(&coop.curve) {
+            for (a, b) in indep.curve().iter().zip(&coop.curve()) {
                 curve.add_row(vec![
                     a.requests.to_string(),
                     format!("{:.1}", a.avg_latency_us),
@@ -163,10 +163,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let four_shard = four_shard.expect("4-shard sweep ran");
     let baseline = four_shard
         .outcome(CoopMode::Independent)
-        .expect("run_all covers every mode")
+        .expect("the sweep ran every mode")
         .aggregate
         .avg_latency_us;
-    let mut row = |weight: f64, outcome: &sibyl_sim::CoopOutcome| {
+    let mut row = |weight: f64, outcome: &ServeOutcome| {
         let shared: u64 = outcome
             .report
             .shards
@@ -187,11 +187,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1.0,
         four_shard
             .outcome(CoopMode::SharedReplay)
-            .expect("run_all covers every mode"),
+            .expect("the sweep ran every mode"),
     );
     let mut cfg = base_config(4);
     cfg.coop = cfg.coop.with_foreign_weight(0.5);
-    let halved = CoopExperiment::new(cfg, trace.clone()).run_mode(CoopMode::SharedReplay)?;
+    cfg.coop = cfg.coop.with_mode(CoopMode::SharedReplay);
+    let halved = ServeExperiment::new(cfg, trace.clone()).run()?;
     row(0.5, &halved);
     println!("{}", ablation.render());
     json.table("foreign_weight_ablation", &ablation);

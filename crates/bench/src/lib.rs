@@ -747,7 +747,7 @@ mod tests {
     #[test]
     fn cooperation_beats_independent_on_skewed_partition() {
         use sibyl_serve::{CoopConfig, CoopMode, ServeConfig};
-        use sibyl_sim::CoopExperiment;
+        use sibyl_sim::ServeExperiment;
 
         let trace = skewed_coop_trace(6_000, 42);
         let sibyl = sibyl_core::SibylConfig {
@@ -765,7 +765,9 @@ mod tests {
                     .with_share_fraction(0.5),
             )
             .with_sibyl(sibyl);
-        let report = CoopExperiment::new(base, trace).run_all().unwrap();
+        let report = ServeExperiment::new(base, trace)
+            .sweep(&CoopMode::ALL, |c, mode| c.coop = c.coop.with_mode(mode))
+            .unwrap();
         let norm = report.normalized_latency(CoopMode::WeightAverage);
         assert!(
             norm < 1.0,
@@ -789,12 +791,16 @@ mod tests {
     #[test]
     fn migration_beats_no_migration_on_phased_trace() {
         use sibyl_serve::MigratePolicyKind;
-        use sibyl_sim::MigrationExperiment;
+        use sibyl_sim::ServeExperiment;
         use sibyl_trace::synth;
 
         let trace = synth::diurnal(8_000, 5, 42);
-        let exp = MigrationExperiment::new(migration_config(), trace.clone());
-        let report = exp.run_all().unwrap();
+        let exp = ServeExperiment::new(migration_config(), trace.clone());
+        let report = exp
+            .sweep(&MigratePolicyKind::ALL, |c, policy| {
+                c.migrate = c.migrate.clone().with_policy(policy)
+            })
+            .unwrap();
         let rl = report.normalized_latency(MigratePolicyKind::Rl);
         let hc = report.normalized_latency(MigratePolicyKind::HotCold);
         assert!(
@@ -806,17 +812,18 @@ mod tests {
             "hot-cold migration should beat NoMigration clearly: norm lat {hc:.3}"
         );
         let rl_run = report
-            .run(MigratePolicyKind::Rl)
-            .expect("run_all covers every policy");
+            .outcome(MigratePolicyKind::Rl)
+            .expect("the sweep ran every policy");
+        let shards = &rl_run.report.shards;
         assert!(
-            rl_run.promoted_pages > 0,
+            shards.iter().any(|s| s.stats.bg_promoted_pages > 0),
             "the RL agent must actually migrate to earn its win"
         );
         // Do-no-harm: the swept baseline equals a migration-free engine.
         let plain = sibyl_serve::serve_trace(&migration_config(), &trace).unwrap();
         let none_run = report
-            .run(MigratePolicyKind::None)
-            .expect("run_all covers every policy");
+            .outcome(MigratePolicyKind::None)
+            .expect("the sweep ran every policy");
         assert_eq!(none_run.report, plain);
     }
 

@@ -11,6 +11,9 @@ use crate::policy_kind::PolicyKind;
 pub enum SimError {
     /// The trace contains no requests.
     EmptyTrace,
+    /// The replay time scale is not positive and finite
+    /// (see [`Experiment::with_time_scale`]).
+    InvalidTimeScale,
     /// The serving engine rejected its configuration
     /// (see [`sibyl_serve::ServeError`]).
     Serve(sibyl_serve::ServeError),
@@ -20,6 +23,7 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::EmptyTrace => write!(f, "trace contains no requests"),
+            SimError::InvalidTimeScale => write!(f, "time scale must be positive and finite"),
             SimError::Serve(e) => write!(f, "serving engine: {e}"),
         }
     }
@@ -88,16 +92,9 @@ impl Experiment {
     /// Accelerates trace replay by dividing every timestamp by `scale`
     /// (>1 compresses think time). Throughput comparisons (the paper's
     /// Fig. 10) replay under load so device capacity, not arrival rate,
-    /// bounds IOPS.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite.
+    /// bounds IOPS. A scale that is not positive and finite makes every
+    /// run fail with [`SimError::InvalidTimeScale`].
     pub fn with_time_scale(mut self, scale: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "time scale must be positive"
-        );
         self.time_scale = scale;
         self
     }
@@ -119,7 +116,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyTrace`] for an empty trace.
+    /// Returns [`SimError::InvalidTimeScale`] for a time scale that is
+    /// not positive and finite, and [`SimError::EmptyTrace`] for an empty
+    /// trace.
     pub fn run(&self, kind: PolicyKind) -> Result<Outcome, SimError> {
         let mut policy = kind.build();
         let config = if kind.wants_unlimited_capacity() {
@@ -135,7 +134,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyTrace`] for an empty trace.
+    /// Returns [`SimError::InvalidTimeScale`] for a time scale that is
+    /// not positive and finite, and [`SimError::EmptyTrace`] for an empty
+    /// trace.
     pub fn run_policy(&self, policy: &mut dyn PlacementPolicy) -> Result<Outcome, SimError> {
         let config = self.hss.clone();
         self.run_boxed(policy, &config)
@@ -146,6 +147,9 @@ impl Experiment {
         policy: &mut dyn PlacementPolicy,
         config: &HssConfig,
     ) -> Result<Outcome, SimError> {
+        if !(self.time_scale.is_finite() && self.time_scale > 0.0) {
+            return Err(SimError::InvalidTimeScale);
+        }
         if self.trace.is_empty() {
             return Err(SimError::EmptyTrace);
         }
@@ -258,6 +262,17 @@ mod tests {
             SimError::EmptyTrace.to_string(),
             "trace contains no requests"
         );
+    }
+
+    #[test]
+    fn invalid_time_scale_is_an_error() {
+        let trace = msrc::generate(msrc::Workload::Prxy1, 100, 1);
+        for scale in [0.0, -1.0, f64::NAN] {
+            let exp = Experiment::new(hm(), trace.clone()).with_time_scale(scale);
+            let err = Err(SimError::InvalidTimeScale);
+            assert_eq!(exp.run(PolicyKind::SlowOnly), err, "scale {scale}");
+            assert_eq!(exp.run_policy(&mut *PolicyKind::FastOnly.build()), err);
+        }
     }
 
     #[test]
