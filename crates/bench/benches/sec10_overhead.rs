@@ -90,15 +90,18 @@ fn training_benchmark() {
     });
 }
 
-/// §10's training-step cost, swept over replay-batch sizes: the modeled
+/// §10's training-step cost on the default C51 network (6-20-30-102),
+/// swept over replay-batch sizes up to the default 128: the modeled
 /// per-sample latency (deterministic — two weight streams per replay
 /// batch, amortized over the batch) next to measured wall-clock numbers
 /// for the per-sample reference loop and the batched path that replaced
-/// it. The per-sample columns drop monotonically from batch 1 → 32: the
-/// batched kernels stream each weight matrix once per batch.
+/// it, then the batched path stage by stage (target inference, forward,
+/// C51 head, backward, optimizer). The modeled per-sample column drops
+/// monotonically: the batched kernels stream each weight matrix once per
+/// batch.
 fn training_step_table() -> Table {
     const NS_PER_MAC: f64 = 20.0;
-    println!("--- §10.1 training-step latency (C51 net, {NS_PER_MAC} ns/MAC model) ---");
+    println!("--- §10.1 training-step latency (default C51 net, {NS_PER_MAC} ns/MAC model) ---");
     let mut table = Table::new(
         [
             "batch",
@@ -106,19 +109,31 @@ fn training_step_table() -> Table {
             "model/sample (us)",
             "seq ns/sample",
             "batched ns/sample",
+            "target ns",
+            "forward ns",
+            "head ns",
+            "backward ns",
+            "optimizer ns",
         ]
         .map(String::from)
         .to_vec(),
     );
-    for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32], NS_PER_MAC) {
+    for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32, 128], NS_PER_MAC) {
+        let st = row.stages;
         table.add_row(vec![
             row.batch.to_string(),
             format!("{:.2}", row.modeled_step_us),
             format!("{:.3}", row.modeled_per_sample_us),
             format!("{:.1}", row.seq_ns_per_sample),
             format!("{:.1}", row.batched_ns_per_sample),
+            format!("{:.1}", st.target_ns),
+            format!("{:.1}", st.forward_ns),
+            format!("{:.1}", st.head_ns),
+            format!("{:.1}", st.backward_ns),
+            format!("{:.1}", st.optimizer_ns),
         ]);
     }
+    println!("(stage columns: batched path, measured ns per sample)");
     println!("{}", table.render());
     table
 }

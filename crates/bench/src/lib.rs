@@ -37,7 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use sibyl_core::{Categorical, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig};
-use sibyl_nn::{Activation, Mlp, Sgd};
+use sibyl_nn::{Activation, Adam, Mlp};
 use sibyl_serve::{MigrateConfig, ServeConfig};
 use sibyl_sim::report::Table;
 use sibyl_sim::SuiteResult;
@@ -162,7 +162,8 @@ pub fn migration_config() -> ServeConfig {
 
 /// One row of `sec10_overhead`'s training-step latency table: the C51
 /// training step at one replay-batch size, under both the deterministic
-/// §10 cost model and a wall-clock measurement of the real kernels.
+/// §10 cost model and a wall-clock measurement of the real kernels —
+/// whole-step and stage by stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainStepRow {
     /// Replay-batch size.
@@ -180,57 +181,126 @@ pub struct TrainStepRow {
     /// per-sample loop (one `forward`/`backward` pass per transition).
     pub seq_ns_per_sample: f64,
     /// Measured wall-clock ns per sample through the batched path
-    /// (`forward_batch` + `Categorical::batch_grad` + `backward_batch`).
+    /// (`forward_batch` + `Categorical::batch_grad` + `backward_batch`
+    /// + optimizer step).
     pub batched_ns_per_sample: f64,
+    /// Measured stages of one batched replay batch, in ns per sample.
+    pub stages: TrainStages,
+}
+
+/// The measured stages of one batched replay batch, each in wall-clock
+/// ns per sample, in the order `Learner::train_step` runs them. The
+/// last four sum to about [`TrainStepRow::batched_ns_per_sample`]; the
+/// target pass is the bootstrap inference the batched column leaves out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrainStages {
+    /// Target-network inference over the next observations
+    /// (`Mlp::infer_batch`).
+    pub target_ns: f64,
+    /// Training-network forward pass with caching (`Mlp::zero_grad` +
+    /// `Mlp::forward_batch`).
+    pub forward_ns: f64,
+    /// C51 head: the `dL/dlogits` matrix and losses
+    /// (`Categorical::batch_grad`).
+    pub head_ns: f64,
+    /// Training-network backward pass (`Mlp::backward_batch`).
+    pub backward_ns: f64,
+    /// Optimizer step (`Mlp::apply_grads`).
+    pub optimizer_ns: f64,
 }
 
 /// Times `step` (one whole replay batch of `batch` samples) and returns
 /// the median ns per *sample* over several timed runs.
 fn time_per_sample(batch: usize, mut step: impl FnMut()) -> f64 {
-    let reps = (2048 / batch).max(8) as u32;
+    let [ns] = time_stages_per_sample(batch, |_| step());
+    ns
+}
+
+/// Times a step of `N` stages over one whole replay batch of `batch`
+/// samples: `step` calls the lap closure it is handed between stages
+/// (`N − 1` times), and the result is each stage's median ns per
+/// *sample* over several timed runs.
+fn time_stages_per_sample<const N: usize>(
+    batch: usize,
+    mut step: impl FnMut(&mut dyn FnMut()),
+) -> [f64; N] {
+    // About 2048 samples' worth of steps per timed run under optimized
+    // codegen. Debug builds take one step per run: their timings mean
+    // nothing (every wall-clock pin is release-only), and a full-size
+    // sweep of the default network would dominate the debug test suite.
+    let reps = if cfg!(debug_assertions) {
+        1
+    } else {
+        (2048 / batch).max(8)
+    };
     const RUNS: usize = 9;
+    let mut run = || {
+        let mut ns = [0u128; N];
+        for _ in 0..reps {
+            let mut stage = 0;
+            let mut last = std::time::Instant::now();
+            let mut lap = || {
+                let now = std::time::Instant::now();
+                ns[stage] += (now - last).as_nanos();
+                last = now;
+                stage += 1;
+            };
+            step(&mut lap);
+            lap();
+        }
+        ns.map(|t| t as f64 / (reps * batch) as f64)
+    };
     // Warm-up.
-    for _ in 0..reps {
-        step();
-    }
-    let mut per_sample: Vec<f64> = (0..RUNS)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..reps {
-                step();
-            }
-            start.elapsed().as_nanos() as f64 / (reps as f64 * batch as f64)
-        })
-        .collect();
-    per_sample.sort_by(|a, b| a.total_cmp(b));
-    per_sample[RUNS / 2]
+    run();
+    let runs: Vec<[f64; N]> = (0..RUNS).map(|_| run()).collect();
+    std::array::from_fn(|i| {
+        let mut stage: Vec<f64> = runs.iter().map(|r| r[i]).collect();
+        stage.sort_by(|a, b| a.total_cmp(b));
+        stage[RUNS / 2]
+    })
 }
 
 /// Builds `sec10_overhead`'s training-step latency table: one
-/// [`TrainStepRow`] per requested replay-batch size, on the default C51
-/// network (6-20-30-22, 1380 MACs) with the paper's two-network layout.
+/// [`TrainStepRow`] per requested replay-batch size, on the network
+/// [`SibylConfig::default`] trains — 6 features, hidden 20 and 30, a
+/// 2-action × 51-atom C51 head (6-20-30-102, 3780 MACs), Adam at the
+/// default learning rate — with the paper's two-network layout.
 ///
 /// The modeled columns are pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the real
 /// sequential and batched training kernels over identical seeded data,
 /// which is what the bench-crate regression test uses to pin that the
-/// batched path is no slower than the per-sample loop it replaced.
+/// batched path is no slower than the per-sample loop it replaced. The
+/// per-stage columns split one batched step, target pass included, with
+/// a clock read between stages.
 pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainStepRow> {
     // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the latency table must measure identical weights every run
     let mut rng = StdRng::seed_from_u64(0x5EC1_0000);
-    let head = Categorical::new(2, 11, 0.0, 10.0);
-    let dims = [6, 20, 30, head.n_outputs()];
+    let cfg = SibylConfig::default();
+    let head = Categorical::new(2, cfg.n_atoms, cfg.v_min, cfg.v_max);
+    let obs_len = 6;
+    let dims = [
+        obs_len,
+        cfg.hidden_dims[0],
+        cfg.hidden_dims[1],
+        head.n_outputs(),
+    ];
     let proto = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
     let target = proto.clone();
     let macs = proto.mac_count() as f64;
     let out_dim = proto.out_dim();
-    let gamma = 0.9f32;
+    let gamma = cfg.discount;
+    let lr = cfg.learning_rate;
 
     let mut rows = Vec::with_capacity(batches.len());
     for &batch in batches {
         assert!(batch > 0, "train_step_latency_rows: zero batch");
-        let obs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-        let next_obs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+        let obs: Vec<f32> = (0..batch * obs_len)
+            .map(|_| rng.gen_range(0.0f32..1.0))
+            .collect();
+        let next_obs: Vec<f32> = (0..batch * obs_len)
+            .map(|_| rng.gen_range(0.0f32..1.0))
+            .collect();
         let actions: Vec<usize> = (0..batch).map(|i| i % 2).collect();
         let rewards: Vec<f32> = (0..batch).map(|i| (i % 5) as f32 * 0.25).collect();
         let next_logits = target.infer_batch(&next_obs, batch);
@@ -238,7 +308,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
         // Per-sample reference: the pre-refactor loop shape — one
         // forward/backward per transition, per-sample head pipeline.
         let mut seq_net = proto.clone();
-        let mut seq_opt = Sgd::new(0.001);
+        let mut seq_opt = Adam::new(lr);
         let seq_ns = time_per_sample(batch, || {
             seq_net.zero_grad();
             let mut grad = Vec::new();
@@ -247,7 +317,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
                 let next_best = head.best_action(next_row);
                 let next_probs = head.action_distribution(next_row, next_best);
                 let proj = head.project(rewards[i], gamma, &next_probs);
-                let logits = seq_net.forward(&obs[i * 6..(i + 1) * 6]);
+                let logits = seq_net.forward(&obs[i * obs_len..(i + 1) * obs_len]);
                 let _ = head.loss_grad(&logits, actions[i], &proj, &mut grad);
                 std::hint::black_box(seq_net.backward(&grad));
             }
@@ -257,7 +327,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
         // Batched path: one forward_batch, one batch_grad, one
         // backward_batch for the whole replay batch.
         let mut bat_net = proto.clone();
-        let mut bat_opt = Sgd::new(0.001);
+        let mut bat_opt = Adam::new(lr);
         let mut grads = Vec::new();
         let mut losses = Vec::new();
         let batched_ns = time_per_sample(batch, || {
@@ -276,6 +346,33 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             bat_net.apply_grads(&mut bat_opt, 1.0 / batch as f32);
         });
 
+        // The whole batched step again, target pass included, with a
+        // clock read between stages: each stage runs in the state a real
+        // step leaves it (fresh gradients every optimizer call).
+        let mut net = proto.clone();
+        let mut opt = Adam::new(lr);
+        let [target_ns, forward_ns, head_ns, backward_ns, optimizer_ns] =
+            time_stages_per_sample(batch, |lap| {
+                let next_logits = target.infer_batch(&next_obs, batch);
+                lap();
+                net.zero_grad();
+                let logits = net.forward_batch(&obs, batch);
+                lap();
+                head.batch_grad(
+                    &logits,
+                    &actions,
+                    &rewards,
+                    &next_logits,
+                    gamma,
+                    &mut grads,
+                    &mut losses,
+                );
+                lap();
+                std::hint::black_box(net.backward_batch(&grads, batch));
+                lap();
+                net.apply_grads(&mut opt, 1.0 / batch as f32);
+            });
+
         let modeled_step_us = 2.0 * macs * ns_per_mac / 1_000.0;
         rows.push(TrainStepRow {
             batch,
@@ -283,6 +380,13 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             modeled_per_sample_us: modeled_step_us / batch as f64,
             seq_ns_per_sample: seq_ns,
             batched_ns_per_sample: batched_ns,
+            stages: TrainStages {
+                target_ns,
+                forward_ns,
+                head_ns,
+                backward_ns,
+                optimizer_ns,
+            },
         });
     }
     rows
@@ -341,8 +445,9 @@ fn scalar_infer_batch(
 }
 
 /// Builds `sec10_overhead`'s inference-kernel table: one
-/// [`InferKernelRow`] per requested decide-batch size on the default C51
-/// network (6-20-30-22, 1380 MACs).
+/// [`InferKernelRow`] per requested decide-batch size on a 2-action ×
+/// 11-atom C51 network (6-20-30-22, 1380 MACs) — the paper's hidden
+/// layers, with a smaller head than [`SibylConfig::default`]'s 51 atoms.
 ///
 /// The modeled column is pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sibyl_nn::softmax;
+use sibyl_nn::{softmax, softmax_into};
 
 /// The categorical value head shared by the training and inference
 /// networks.
@@ -108,9 +108,16 @@ impl Categorical {
             .map(|a| {
                 let block = &logits[a * self.n_atoms..(a + 1) * self.n_atoms];
                 softmax(block, &mut scratch);
-                scratch.iter().zip(&self.support).map(|(p, z)| p * z).sum()
+                self.expected_value(&scratch)
             })
             .collect()
+    }
+
+    /// `Σ zᵢ pᵢ` over the support — the one Q expression both
+    /// [`Categorical::q_values`] and [`Categorical::batch_grad`] use, so
+    /// their greedy choices agree bit for bit.
+    fn expected_value(&self, probs: &[f32]) -> f32 {
+        probs.iter().zip(&self.support).map(|(p, z)| p * z).sum()
     }
 
     /// The greedy action under the current logits.
@@ -137,6 +144,15 @@ impl Categorical {
             "next distribution length mismatch"
         );
         let mut m = vec![0.0f32; self.n_atoms];
+        self.project_into(reward, gamma, next_probs, &mut m);
+        m
+    }
+
+    /// [`Categorical::project`] into a caller-owned, `n_atoms`-long
+    /// buffer (overwritten), so the batched path projects without
+    /// allocating.
+    fn project_into(&self, reward: f32, gamma: f32, next_probs: &[f32], m: &mut [f32]) {
+        m.fill(0.0);
         for (j, &p) in next_probs.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -154,7 +170,6 @@ impl Categorical {
                 m[ui] += p * (b - l);
             }
         }
-        m
     }
 
     /// Cross-entropy loss and logit gradient for one sample: the target
@@ -188,12 +203,19 @@ impl Categorical {
     /// the full row-major `(batch × n_outputs)` `dL/dlogits` matrix in
     /// `grads` and one cross-entropy loss per sample in `losses`.
     ///
-    /// Row `i` combines the whole per-sample pipeline — greedy next
-    /// action from `next_logits` row `i`, C51 projection of
-    /// `rewards[i] + γ·z`, and [`Categorical::loss_grad`] against
-    /// `logits` row `i` — with arithmetic identical to the sequential
-    /// calls, so a batched backward pass fed from this matrix is
-    /// bit-exact against the per-sample training loop.
+    /// Row `i` computes the whole per-sample pipeline — greedy next
+    /// action from `next_logits` row `i` ([`Categorical::best_action`]),
+    /// its distribution ([`Categorical::action_distribution`]), the C51
+    /// projection of `rewards[i] + γ·z` ([`Categorical::project`]), and
+    /// [`Categorical::loss_grad`] against `logits` row `i` — with
+    /// arithmetic identical to those sequential calls, so a batched
+    /// backward pass fed from this matrix is bit-exact against the
+    /// per-sample training loop. It does so with one softmax per action
+    /// block of `next_logits` (the winning block doubles as the next
+    /// distribution) and one softmax of the taken action's block of
+    /// `logits` (both the gradient `p − t` and the loss
+    /// `−Σ t·ln max(p, 1e-12)` derive from it), into scratch reused
+    /// across rows: no per-sample allocation.
     ///
     /// `logits` are the *training* network's outputs for the sampled
     /// observations; `next_logits` the *target* network's outputs for the
@@ -216,6 +238,7 @@ impl Categorical {
     ) {
         let batch = actions.len();
         let width = self.n_outputs();
+        let n = self.n_atoms;
         assert_eq!(logits.len(), batch * width, "logit matrix shape mismatch");
         assert_eq!(
             next_logits.len(),
@@ -226,15 +249,33 @@ impl Categorical {
         grads.clear();
         grads.resize(batch * width, 0.0);
         losses.clear();
-        let mut row_grad = Vec::new();
-        for i in 0..batch {
-            let row = &logits[i * width..(i + 1) * width];
+        // Scratch reused across rows: every action's next distribution,
+        // their Q-values, and the projected target.
+        let mut next_probs = vec![0.0f32; width];
+        let mut q = Vec::with_capacity(self.n_actions);
+        let mut target = vec![0.0f32; n];
+        for (i, (&action, &reward)) in actions.iter().zip(rewards).enumerate() {
+            assert!(action < self.n_actions, "action out of range");
             let next_row = &next_logits[i * width..(i + 1) * width];
-            let next_best = self.best_action(next_row);
-            let next_probs = self.action_distribution(next_row, next_best);
-            let target = self.project(rewards[i], gamma, &next_probs);
-            let loss = self.loss_grad(row, actions[i], &target, &mut row_grad);
-            grads[i * width..(i + 1) * width].copy_from_slice(&row_grad);
+            q.clear();
+            for (block, probs) in next_row.chunks_exact(n).zip(next_probs.chunks_exact_mut(n)) {
+                softmax_into(block, probs);
+                q.push(self.expected_value(probs));
+            }
+            // sibyl-lint: allow(unwrap-in-lib) -- invariant: q holds n_actions > 0 entries
+            let next_best = sibyl_nn::argmax(&q).expect("n_actions > 0");
+            let next_dist = &next_probs[next_best * n..(next_best + 1) * n];
+            self.project_into(reward, gamma, next_dist, &mut target);
+            let taken = i * width + action * n..i * width + (action + 1) * n;
+            let grad = &mut grads[taken.clone()];
+            softmax_into(&logits[taken], grad);
+            let mut loss = 0.0f32;
+            for (g, &t) in grad.iter_mut().zip(&target) {
+                if t > 0.0 {
+                    loss -= t * g.max(1e-12).ln();
+                }
+                *g -= t;
+            }
             losses.push(loss);
         }
     }
@@ -244,9 +285,18 @@ impl Categorical {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn head() -> Categorical {
         Categorical::new(2, 11, 0.0, 10.0)
+    }
+
+    /// Whether softmaxing `block` leaves some atom at exactly 0.0.
+    fn softmax_zero_atom(block: &[f32]) -> bool {
+        let mut p = Vec::new();
+        softmax(block, &mut p);
+        p.contains(&0.0)
     }
 
     #[test]
@@ -325,6 +375,69 @@ mod tests {
         );
     }
 
+    /// The per-sample pipeline `batch_grad` must reproduce bit for bit:
+    /// `best_action` → `action_distribution` → `project` → `loss_grad`.
+    /// Returns the row's loss and gradient as raw bits.
+    fn pipeline_bits(
+        c: &Categorical,
+        row: &[f32],
+        action: usize,
+        reward: f32,
+        next_row: &[f32],
+        gamma: f32,
+    ) -> (u32, Vec<u32>) {
+        let next_best = c.best_action(next_row);
+        let next_probs = c.action_distribution(next_row, next_best);
+        let target = c.project(reward, gamma, &next_probs);
+        let mut grad = Vec::new();
+        let loss = c.loss_grad(row, action, &target, &mut grad);
+        (loss.to_bits(), grad.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Asserts every row of `batch_grad`'s output equals
+    /// [`pipeline_bits`] on that row.
+    fn assert_batch_matches_pipeline(
+        c: &Categorical,
+        logits: &[f32],
+        actions: &[usize],
+        rewards: &[f32],
+        next_logits: &[f32],
+        gamma: f32,
+    ) -> Result<(), TestCaseError> {
+        let width = c.n_outputs();
+        let batch = actions.len();
+        let mut grads = vec![f32::NAN; 3];
+        let mut losses = vec![f32::NAN; 5];
+        c.batch_grad(
+            logits,
+            actions,
+            rewards,
+            next_logits,
+            gamma,
+            &mut grads,
+            &mut losses,
+        );
+        prop_assert_eq!(grads.len(), batch * width);
+        prop_assert_eq!(losses.len(), batch);
+        for i in 0..batch {
+            let rows = i * width..(i + 1) * width;
+            let (loss, grad) = pipeline_bits(
+                c,
+                &logits[rows.clone()],
+                actions[i],
+                rewards[i],
+                &next_logits[rows.clone()],
+                gamma,
+            );
+            prop_assert_eq!(losses[i].to_bits(), loss);
+            prop_assert_eq!(
+                grads[rows].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                grad
+            );
+        }
+        Ok(())
+    }
+
     #[test]
     fn batch_grad_matches_sequential_pipeline() {
         let c = head();
@@ -338,37 +451,8 @@ mod tests {
             .collect();
         let actions = [0usize, 1, 1];
         let rewards = [0.5f32, 3.0, -1.0];
-        let mut grads = Vec::new();
-        let mut losses = Vec::new();
-        c.batch_grad(
-            &logits,
-            &actions,
-            &rewards,
-            &next_logits,
-            0.9,
-            &mut grads,
-            &mut losses,
-        );
-        assert_eq!(grads.len(), batch * width);
-        assert_eq!(losses.len(), batch);
-        for i in 0..batch {
-            let row = &logits[i * width..(i + 1) * width];
-            let next_row = &next_logits[i * width..(i + 1) * width];
-            let next_best = c.best_action(next_row);
-            let next_probs = c.action_distribution(next_row, next_best);
-            let target = c.project(rewards[i], 0.9, &next_probs);
-            let mut row_grad = Vec::new();
-            let loss = c.loss_grad(row, actions[i], &target, &mut row_grad);
-            assert_eq!(loss.to_bits(), losses[i].to_bits(), "loss row {i}");
-            assert_eq!(
-                grads[i * width..(i + 1) * width]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                row_grad.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "gradient row {i}"
-            );
-        }
+        assert_batch_matches_pipeline(&c, &logits, &actions, &rewards, &next_logits, 0.9)
+            .unwrap_or_else(|e| panic!("{e:?}"));
     }
 
     #[test]
@@ -389,6 +473,56 @@ mod tests {
     }
 
     proptest! {
+        /// `batch_grad` is bit-identical to the per-sample pipeline on
+        /// every head shape (1–4 actions × 2/11/51 atoms) at the drawn
+        /// batch size (0, 1, 7 or 128) and discount (0, 0.9 or 1).
+        /// Rewards reach 5 beyond each end of the support, so the
+        /// projection's clamp fires, and a quarter of the logits sit at
+        /// −200, so softmax atoms underflow to exactly 0.0 and take the
+        /// projection's `p == 0.0` skip.
+        #[test]
+        fn batch_grad_matches_pipeline_on_every_shape(
+            seed in 0u64..1_000_000,
+            bi in 0usize..4,
+            gi in 0usize..3,
+        ) {
+            let batch = [0usize, 1, 7, 128][bi];
+            let gamma = [0.0f32, 0.9, 1.0][gi];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut saw_zero_atom = false;
+            for n_actions in 1..=4 {
+                for n_atoms in [2usize, 11, 51] {
+                    let c = Categorical::new(n_actions, n_atoms, -1.0, 4.0);
+                    let mut logit = || {
+                        if rng.gen_range(0u32..4) == 0 {
+                            -200.0
+                        } else {
+                            rng.gen_range(-6.0f32..6.0)
+                        }
+                    };
+                    let n = batch * c.n_outputs();
+                    let logits: Vec<f32> = (0..n).map(|_| logit()).collect();
+                    let next_logits: Vec<f32> = (0..n).map(|_| logit()).collect();
+                    let actions: Vec<usize> =
+                        (0..batch).map(|_| rng.gen_range(0..n_actions)).collect();
+                    let rewards: Vec<f32> =
+                        (0..batch).map(|_| rng.gen_range(-6.0f32..9.0)).collect();
+                    saw_zero_atom |= next_logits
+                        .chunks_exact(n_atoms)
+                        .any(softmax_zero_atom);
+                    assert_batch_matches_pipeline(
+                        &c,
+                        &logits,
+                        &actions,
+                        &rewards,
+                        &next_logits,
+                        gamma,
+                    )?;
+                }
+            }
+            prop_assert!(batch == 0 || saw_zero_atom, "no atom underflowed to 0.0");
+        }
+
         /// Projection preserves probability mass.
         #[test]
         fn projection_preserves_mass(

@@ -81,15 +81,34 @@ pub use rnn::Rnn;
 /// ```
 pub fn softmax(logits: &[f32], out: &mut Vec<f32>) {
     out.clear();
-    if logits.is_empty() {
-        return;
-    }
+    out.resize(logits.len(), 0.0);
+    softmax_into(logits, out);
+}
+
+/// The slice form of [`softmax`]: overwrites `out` with the softmax of
+/// `logits`, allocating nothing, so hot loops such as the C51 head's
+/// batched gradient can run it on reused scratch rows. [`softmax`]
+/// delegates here, so the two agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `out.len() != logits.len()`.
+///
+/// # Examples
+///
+/// ```
+/// let mut p = [0.0f32; 2];
+/// sibyl_nn::softmax_into(&[1.0, 1.0], &mut p);
+/// assert_eq!(p, [0.5, 0.5]);
+/// ```
+pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
+    assert_eq!(out.len(), logits.len(), "softmax_into: length mismatch");
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
-    for &l in logits {
+    for (o, &l) in out.iter_mut().zip(logits) {
         let e = (l - max).exp();
         sum += e;
-        out.push(e);
+        *o = e;
     }
     for p in out.iter_mut() {
         *p /= sum;

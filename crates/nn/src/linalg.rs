@@ -7,18 +7,27 @@
 //! runs in *exactly* the order of the retained [`scalar`] references.
 //! f32 addition is not associative, so a kernel may never vectorize
 //! *within* one dot product's chain — instead the tiled kernels
-//! vectorize *across* independent outputs (one SIMD lane per batch
-//! sample), which reorders nothing. The `kernel_parity` property suite
-//! pins bit-for-bit equality against [`scalar`] across random shapes,
+//! vectorize *across* independent outputs, which reorders nothing:
+//! [`matmul_bias`] and [`matmul_transpose`] (the latter on a once-per-call
+//! transpose of `W`) give each SIMD lane one batch sample, and
+//! [`matmul_at_b_acc`] holds a [`ROW_TILE`] × [`COL_TILE`] block of the
+//! gradient in registers with one lane per gradient column while the
+//! batch streams through it. The `kernel_parity` property suite pins
+//! bit-for-bit equality against [`scalar`] across random shapes,
 //! including every tile-remainder size.
 
-/// Batch samples processed per register tile by [`matmul_bias`]: one
-/// output accumulator lane per sample, sized to a 256-bit f32 vector.
+/// Batch samples processed per register tile by [`matmul_bias`] and
+/// [`matmul_transpose`]: one output accumulator lane per sample, sized
+/// to a 256-bit f32 vector.
 pub const BATCH_TILE: usize = 8;
 
-/// Weight/gradient rows processed per tile by [`matmul_at_b_acc`], so
-/// each streamed input row is reused across several gradient rows.
+/// Gradient rows per register block of [`matmul_at_b_acc`], so each
+/// streamed input slice is reused across several gradient rows.
 pub const ROW_TILE: usize = 4;
+
+/// Gradient columns per register block of [`matmul_at_b_acc`]: one 8-lane
+/// f32 vector per gradient row.
+pub const COL_TILE: usize = 8;
 
 /// The pre-tiling scalar reference kernels, retained verbatim.
 ///
@@ -218,37 +227,7 @@ pub fn matmul_bias(
     assert_eq!(b.len(), rows, "matmul_bias: bias length mismatch");
     out.clear();
     out.resize(batch * rows, 0.0);
-    let full = batch / BATCH_TILE * BATCH_TILE;
-    if full > 0 {
-        // Lane-interleaved pack buffer, reused across the tiles of one
-        // call: packing costs O(cols · TILE) once per tile and is repaid
-        // across all `rows` weight rows.
-        let mut xt = vec![0.0f32; cols * BATCH_TILE];
-        for s0 in (0..full).step_by(BATCH_TILE) {
-            let tile = &xs[s0 * cols..(s0 + BATCH_TILE) * cols];
-            for (j, x) in tile.chunks_exact(cols).enumerate() {
-                for (k, &xv) in x.iter().enumerate() {
-                    xt[k * BATCH_TILE + j] = xv;
-                }
-            }
-            for r in 0..rows {
-                let row = &w[r * cols..(r + 1) * cols];
-                // One accumulator lane per sample; `chunks_exact` keeps
-                // the inner loop free of bounds checks so it compiles to
-                // a broadcast-multiply + vector add per feature.
-                let mut acc = [0.0f32; BATCH_TILE];
-                for (lanes, &wv) in xt.chunks_exact(BATCH_TILE).zip(row) {
-                    for (a, &xv) in acc.iter_mut().zip(lanes) {
-                        *a += wv * xv;
-                    }
-                }
-                let br = b[r];
-                for (j, &a) in acc.iter().enumerate() {
-                    out[(s0 + j) * rows + r] = a + br;
-                }
-            }
-        }
-    }
+    let full = lane_tiled(w, xs, rows, cols, batch, out, |r, a| a + b[r]);
     for s in full..batch {
         let x = &xs[s * cols..(s + 1) * cols];
         for r in 0..rows {
@@ -258,20 +237,71 @@ pub fn matmul_bias(
     }
 }
 
+/// The lane-per-sample core shared by [`matmul_bias`] and
+/// [`matmul_transpose`]: for every full [`BATCH_TILE`] of samples, sets
+/// `out[s·rows + r] = finish(r, Σₖ w[r·cols + k]·xs[s·cols + k])`, the
+/// sum accumulated in ascending `k` from `0.0`. Returns the number of
+/// samples covered (`batch` rounded down to a whole tile); the caller
+/// finishes the remainder.
+fn lane_tiled(
+    w: &[f32],
+    xs: &[f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+    out: &mut [f32],
+    finish: impl Fn(usize, f32) -> f32,
+) -> usize {
+    let full = batch / BATCH_TILE * BATCH_TILE;
+    if full == 0 {
+        return 0;
+    }
+    // Lane-interleaved pack buffer, reused across the tiles of one call:
+    // packing costs O(cols · TILE) once per tile and is repaid across all
+    // `rows` weight rows.
+    let mut xt = vec![0.0f32; cols * BATCH_TILE];
+    for s0 in (0..full).step_by(BATCH_TILE) {
+        let tile = &xs[s0 * cols..(s0 + BATCH_TILE) * cols];
+        for (j, x) in tile.chunks_exact(cols).enumerate() {
+            for (k, &xv) in x.iter().enumerate() {
+                xt[k * BATCH_TILE + j] = xv;
+            }
+        }
+        for r in 0..rows {
+            let row = &w[r * cols..(r + 1) * cols];
+            // One accumulator lane per sample; `chunks_exact` keeps the
+            // inner loop free of bounds checks so it compiles to a
+            // broadcast-multiply + vector add per feature.
+            let mut acc = [0.0f32; BATCH_TILE];
+            for (lanes, &wv) in xt.chunks_exact(BATCH_TILE).zip(row) {
+                for (a, &xv) in acc.iter_mut().zip(lanes) {
+                    *a += wv * xv;
+                }
+            }
+            for (j, &a) in acc.iter().enumerate() {
+                out[(s0 + j) * rows + r] = finish(r, a);
+            }
+        }
+    }
+    full
+}
+
 /// Computes `out = D·W` for a batch of backpropagated deltas: `d` is
 /// row-major `(batch × rows)` — one delta per row — and `out` is refilled
 /// row-major `(batch × cols)`, so each output row is laid out exactly like
 /// a [`matvec_transpose`] result for the corresponding delta.
 ///
-/// This is the batched input-gradient pass of training. The nest runs
-/// sample-outer so each sample's output row stays hot while every weight
-/// row is streamed over it; the innermost loop is a bounds-check-free
-/// broadcast-multiply-accumulate over the contiguous output row, which
-/// rustc autovectorizes. Each output element still accumulates its `rows`
-/// terms in ascending-`r` order — exactly the [`scalar::matmul_transpose`]
-/// and [`matvec_transpose`] chain — so the batched backward pass is
-/// bit-identical to the per-sample one, which the training parity
-/// property tests pin down.
+/// This is the batched input-gradient pass of training, tiled like
+/// [`matmul_bias`]: `W` is transposed once per call so each output
+/// column's weights are contiguous, and the product runs through the same
+/// lane-per-sample tile, minus the bias add — [`BATCH_TILE`] deltas packed
+/// lane-interleaved, one SIMD lane per *sample*. Each output element still accumulates its `rows` terms in
+/// ascending-`r` order from a `0.0` start — exactly the
+/// [`scalar::matmul_transpose`] and [`matvec_transpose`] chain — so the
+/// batched backward pass is bit-identical to the per-sample one, which
+/// the training parity property tests pin down. The `batch % BATCH_TILE`
+/// remainder runs sample-outer, broadcasting each delta over the
+/// contiguous output row.
 ///
 /// # Panics
 ///
@@ -299,7 +329,19 @@ pub fn matmul_transpose(
     if rows == 0 || cols == 0 {
         return;
     }
-    for (drow, orow) in d.chunks_exact(rows).zip(out.chunks_exact_mut(cols)) {
+    let full = if batch >= BATCH_TILE {
+        let mut wt = vec![0.0f32; cols * rows];
+        for (r, wrow) in w.chunks_exact(cols).enumerate() {
+            for (c, &wv) in wrow.iter().enumerate() {
+                wt[c * rows + r] = wv;
+            }
+        }
+        lane_tiled(&wt, d, cols, rows, batch, out, |_, a| a)
+    } else {
+        0
+    };
+    let rest = d[full * rows..].chunks_exact(rows);
+    for (drow, orow) in rest.zip(out[full * cols..].chunks_exact_mut(cols)) {
         for (wrow, &dr) in w.chunks_exact(cols).zip(drow) {
             for (o, &wv) in orow.iter_mut().zip(wrow) {
                 *o += wv * dr;
@@ -318,11 +360,13 @@ pub fn matmul_transpose(
 /// contributions are added in ascending sample order onto the existing
 /// value, exactly the floating-point accumulation sequence the sequential
 /// per-sample training loop (and the retained [`scalar::matmul_at_b_acc`]
-/// reference) produces. Gradient rows are blocked [`ROW_TILE`] at a time
-/// so each input row loaded from `xs` is reused across the whole block
-/// before it leaves cache; within the block the innermost loop is a
-/// bounds-check-free broadcast-multiply-accumulate over the contiguous
-/// gradient row, which rustc autovectorizes.
+/// reference) produces. The kernel is register-blocked: a [`ROW_TILE`] ×
+/// 8 block of `dw` is loaded into local accumulators, the whole batch
+/// streams through it (one broadcast delta times one 8-wide input slice
+/// per row and sample), and the block is stored back once. `xs` is
+/// copied once per call with its columns zero-padded to a multiple of 8,
+/// so every block is full width (the padded lanes are computed and
+/// dropped); the `rows % ROW_TILE` remainder uses 1-row blocks.
 ///
 /// # Panics
 ///
@@ -351,18 +395,54 @@ pub fn matmul_at_b_acc(
         batch * cols,
         "matmul_at_b_acc: input shape mismatch"
     );
-    if rows == 0 || cols == 0 {
+    if rows == 0 || cols == 0 || batch == 0 {
         return;
     }
-    for r0 in (0..rows).step_by(ROW_TILE) {
-        let r1 = (r0 + ROW_TILE).min(rows);
-        let block = &mut dw[r0 * cols..r1 * cols];
-        for (x, dsrow) in xs.chunks_exact(cols).zip(d.chunks_exact(rows)) {
-            for (grow, &dr) in block.chunks_exact_mut(cols).zip(&dsrow[r0..r1]) {
-                for (g, &xv) in grow.iter_mut().zip(x) {
-                    *g += dr * xv;
+    let padded = cols.div_ceil(COL_TILE) * COL_TILE;
+    let mut xp = vec![0.0f32; batch * padded];
+    for (prow, x) in xp.chunks_exact_mut(padded).zip(xs.chunks_exact(cols)) {
+        prow[..cols].copy_from_slice(x);
+    }
+    let tiled_rows = rows / ROW_TILE * ROW_TILE;
+    for r0 in (0..tiled_rows).step_by(ROW_TILE) {
+        at_b_block::<ROW_TILE>(dw, d, &xp, rows, cols, padded, r0);
+    }
+    for r0 in tiled_rows..rows {
+        at_b_block::<1>(dw, d, &xp, rows, cols, padded, r0);
+    }
+}
+
+/// One `R`-row band of [`matmul_at_b_acc`]: for each 8-column block,
+/// load `dw` rows `r0..r0 + R` into registers, add every sample's
+/// `d[s][r]·x[s][c]` in ascending `s`, and store the block back.
+fn at_b_block<const R: usize>(
+    dw: &mut [f32],
+    d: &[f32],
+    xp: &[f32],
+    rows: usize,
+    cols: usize,
+    padded: usize,
+    r0: usize,
+) {
+    for c0 in (0..padded).step_by(COL_TILE) {
+        let width = (cols - c0).min(COL_TILE);
+        let mut acc = [[0.0f32; COL_TILE]; R];
+        for (i, a) in acc.iter_mut().enumerate() {
+            let o = (r0 + i) * cols + c0;
+            a[..width].copy_from_slice(&dw[o..o + width]);
+        }
+        for (x, ds) in xp.chunks_exact(padded).zip(d.chunks_exact(rows)) {
+            let x = &x[c0..c0 + COL_TILE];
+            let ds = &ds[r0..r0 + R];
+            for (a, &dr) in acc.iter_mut().zip(ds) {
+                for k in 0..COL_TILE {
+                    a[k] += dr * x[k];
                 }
             }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            let o = (r0 + i) * cols + c0;
+            dw[o..o + width].copy_from_slice(&a[..width]);
         }
     }
 }

@@ -7,8 +7,10 @@
 //! [`linalg::scalar`] references, making results bit-for-bit identical.
 //! These property tests pin that across random shapes, with the dimension
 //! palette deliberately straddling every tile boundary
-//! (`BATCH_TILE` − 1 / exact / + 1, `ROW_TILE` likewise, 1, and odd
-//! primes) so remainder paths are exercised as hard as full tiles.
+//! (`BATCH_TILE` and `COL_TILE` − 1 / exact / + 1, `ROW_TILE` likewise,
+//! 1, and odd primes) so remainder paths are exercised as hard as full
+//! tiles, plus the paper network's own layer shapes at replay batch 127
+//! and 128.
 //!
 //! The f16 half of the suite pins the quantized inference fast path: its
 //! outputs stay within a fixed error envelope of the f32 path, and on
@@ -19,12 +21,13 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use sibyl_nn::linalg::{self, scalar, BATCH_TILE, ROW_TILE};
+use sibyl_nn::linalg::{self, scalar, BATCH_TILE, COL_TILE, ROW_TILE};
 use sibyl_nn::{softmax, Activation, Mlp};
 
 /// Dimension palette straddling the tile boundaries: 1, ROW_TILE−1,
-/// ROW_TILE, ROW_TILE+1, BATCH_TILE−1, BATCH_TILE, BATCH_TILE+1, odd
-/// primes, and a two-tile size.
+/// ROW_TILE, ROW_TILE+1, BATCH_TILE−1, BATCH_TILE, BATCH_TILE+1 (which
+/// are also COL_TILE−1 / COL_TILE / COL_TILE+1, see below), odd primes,
+/// and a two-tile size.
 const DIMS: [usize; 11] = [
     1,
     ROW_TILE - 1,
@@ -39,6 +42,15 @@ const DIMS: [usize; 11] = [
     2 * BATCH_TILE,
 ];
 
+// The 7 / 8 / 9 entries of `DIMS` straddle both the batch tile and
+// `matmul_at_b_acc`'s column tile; if the two ever diverge, the column
+// tile's boundaries need entries of their own.
+const _: () = assert!(COL_TILE == BATCH_TILE);
+
+/// The paper network's layers as `(rows, cols)` = `(out_dim, in_dim)`:
+/// 6-20-30-102, the default 2-action × 51-atom C51 head.
+const PAPER_LAYERS: [(usize, usize); 3] = [(102, 30), (30, 20), (20, 6)];
+
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
@@ -47,8 +59,72 @@ fn random_vec(r: &mut rand::rngs::StdRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| r.gen_range(-2.0f32..2.0)).collect()
 }
 
+/// Like [`random_vec`], but a quarter of the entries are `+0.0` or
+/// `-0.0`.
+fn sparse_vec(r: &mut rand::rngs::StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match r.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => r.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// A prior gradient where a quarter of the entries are `-0.0` and a
+/// quarter are subnormal (either sign).
+fn edge_prior(r: &mut rand::rngs::StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| match r.gen_range(0u32..4) {
+            0 => -0.0,
+            1 => {
+                let v = f32::from_bits(r.gen_range(1u32..0x0080_0000));
+                if r.gen_range(0u32..2) == 0 {
+                    v
+                } else {
+                    -v
+                }
+            }
+            _ => r.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The backward kernels (and the forward one they mirror) are
+/// bit-identical to the scalar references on the paper network's layer
+/// shapes at the default replay batch (128) and one short of it (127,
+/// a full-tile run plus a 7-sample remainder).
+#[test]
+fn paper_shapes_match_scalar_at_replay_batch() {
+    for (seed, &(rows, cols)) in PAPER_LAYERS.iter().enumerate() {
+        for batch in [127usize, 128] {
+            let mut r = rng(seed as u64 * 1_000 + batch as u64);
+            let w = random_vec(&mut r, rows * cols);
+            let b = random_vec(&mut r, rows);
+            let d = sparse_vec(&mut r, batch * rows);
+            let xs = random_vec(&mut r, batch * cols);
+            let shape = format!("{rows}x{cols} at batch {batch}");
+
+            let (mut tiled, mut reference) = (Vec::new(), Vec::new());
+            linalg::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut tiled);
+            scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
+            assert_eq!(bits(&tiled), bits(&reference), "matmul_bias {shape}");
+
+            linalg::matmul_transpose(&w, &d, rows, cols, batch, &mut tiled);
+            scalar::matmul_transpose(&w, &d, rows, cols, batch, &mut reference);
+            assert_eq!(bits(&tiled), bits(&reference), "matmul_transpose {shape}");
+
+            let prior = edge_prior(&mut r, rows * cols);
+            let (mut tiled, mut reference) = (prior.clone(), prior);
+            linalg::matmul_at_b_acc(&mut tiled, &d, &xs, rows, cols, batch);
+            scalar::matmul_at_b_acc(&mut reference, &d, &xs, rows, cols, batch);
+            assert_eq!(bits(&tiled), bits(&reference), "matmul_at_b_acc {shape}");
+        }
+    }
 }
 
 proptest! {
@@ -93,7 +169,11 @@ proptest! {
 
     /// Tiled `matmul_at_b_acc` accumulates bit-identically to the scalar
     /// reference — on top of a non-zero prior gradient, so the
-    /// accumulation (not just a fresh sum) is pinned.
+    /// accumulation (not just a fresh sum) is pinned. The prior carries
+    /// `-0.0` and subnormal entries and a quarter of the deltas are
+    /// signed zeros, so some gradient elements only ever add `±0.0` to
+    /// those priors: the register block must load and store `dw`
+    /// exactly for them to survive.
     #[test]
     fn matmul_at_b_acc_matches_scalar(
         seed in 0u64..400,
@@ -103,8 +183,8 @@ proptest! {
     ) {
         let (rows, cols, batch) = (DIMS[ri], DIMS[ci], DIMS[bi]);
         let mut r = rng(seed);
-        let prior = random_vec(&mut r, rows * cols);
-        let d = random_vec(&mut r, batch * rows);
+        let prior = edge_prior(&mut r, rows * cols);
+        let d = sparse_vec(&mut r, batch * rows);
         let xs = random_vec(&mut r, batch * cols);
         let mut tiled = prior.clone();
         let mut reference = prior;
